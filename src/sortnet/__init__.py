@@ -33,19 +33,7 @@ from .errors import (
     WidthTooLarge,
     ZeroWidth,
 )
-from .index import (
-    MAX_EXPONENT,
-    elift,
-    iadd,
-    idiv2,
-    inext,
-    ipred,
-    isub,
-    olift,
-    pow2,
-    rev_index,
-    split_index,
-)
+from .index import MAX_EXPONENT, pow2
 from .knuth import (
     ceswap,
     codd_jump,
@@ -103,18 +91,12 @@ __all__ = [
     "codd_jump",
     "count_false",
     "cswap",
-    "elift",
     "etake",
     "half_cleaner",
     "half_cleaner_rec",
-    "iadd",
-    "idiv2",
-    "inext",
-    "ipred",
     "is_bitonic",
     "is_perm_of",
     "is_sorted",
-    "isub",
     "knuth_exchange",
     "knuth_jump_rec",
     "map_values",
@@ -123,14 +105,11 @@ __all__ = [
     "neomerge",
     "network_stats",
     "nmerge",
-    "olift",
     "otake",
     "pow2",
     "random_connector",
     "random_network",
-    "rev_index",
     "rhalf_cleaner",
     "rhalf_cleaner_rec",
-    "split_index",
     "uphalf",
 ]

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .combinators import ndup, nmerge
 from .core import Connector, Network
-from .index import pow2, rev_index
+from .index import pow2
 from .verify import is_sorted
 
 
@@ -104,7 +104,7 @@ def rhalf_cleaner(width: int) -> Connector:
 
     On odd widths the middle line stays unconnected.
     """
-    link = tuple(rev_index(i, width) for i in range(width))
+    link = tuple(width - 1 - i for i in range(width))
     return Connector(width, link, (False,) * width)
 
 

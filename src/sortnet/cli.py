@@ -31,6 +31,8 @@ from .errors import SortnetError
 from .index import MAX_EXPONENT
 from .knuth import knuth_exchange
 from .verify import (
+    _INT64_MAX,
+    _INT64_MIN,
     VerificationReport,
     check_sorting_exhaustive,
     check_sorting_oracle,
@@ -38,9 +40,6 @@ from .verify import (
 )
 
 GENERATOR_NAMES = ("bsort", "bfsort", "knuth", "batcher")
-
-_INT64_MIN = -(1 << 63)
-_INT64_MAX = (1 << 63) - 1
 
 
 class NetworkParseError(SortnetError):
@@ -77,10 +76,13 @@ def parse_text(text: str) -> Network:
     if not rows:
         raise NetworkParseError(1, "empty file, expected header 'snet 1 <width>'")
     header = rows[0].split()
+    # Numbers are ASCII digits only: str.isdigit() also admits digits such
+    # as '²' that int() rejects.
     if (
         len(header) != 3
         or header[0] != "snet"
         or header[1] != "1"
+        or not header[2].isascii()
         or not header[2].isdigit()
     ):
         raise NetworkParseError(
@@ -98,7 +100,12 @@ def parse_text(text: str) -> Network:
             flipped = token.endswith("!")
             body = token[:-1] if flipped else token
             low_text, dash, high_text = body.partition("-")
-            if not dash or not low_text.isdigit() or not high_text.isdigit():
+            if (
+                not dash
+                or not body.isascii()
+                or not low_text.isdigit()
+                or not high_text.isdigit()
+            ):
                 raise NetworkParseError(number, f"bad comparator token {token!r}")
             pairs.append((int(low_text), int(high_text), flipped))
         try:
@@ -230,6 +237,8 @@ def _resolve_network(source: list[str]) -> tuple[Network, int | None]:
                 text = handle.read()
         except OSError as exc:
             raise CliError(str(exc)) from None
+        except UnicodeDecodeError as exc:
+            raise CliError(f"{path}: not UTF-8 text ({exc.reason})") from None
         return parse_text(text), None
     raise CliError(
         "expected a network FILE or '<bsort|bfsort|knuth|batcher> <m>'"

@@ -8,7 +8,6 @@ invariants by construction, and the constructor revalidates anyway.
 
 from .core import Connector, Network
 from .errors import WidthMismatch
-from .index import elift, idiv2, olift, split_index
 
 
 def cswap(i: int, j: int, width: int) -> Connector:
@@ -22,19 +21,12 @@ def cmerge(c1: Connector, c2: Connector) -> Connector:
     Lines below ``c1.width`` follow ``c1``; the rest follow ``c2`` shifted
     up.  Flip flags travel with their source connector.
     """
-    m1, m2 = c1.width, c2.width
-    width = m1 + m2
-    link = []
-    flip = []
-    for i in range(width):
-        side, x = split_index(i, m1, m2)
-        if side == "left":
-            link.append(c1.link[x])
-            flip.append(c1.flip[x])
-        else:
-            link.append(m1 + c2.link[x])
-            flip.append(c2.flip[x])
-    return Connector(width, tuple(link), tuple(flip))
+    m1 = c1.width
+    return Connector(
+        m1 + c2.width,
+        c1.link + tuple(m1 + j for j in c2.link),
+        c1.flip + c2.flip,
+    )
 
 
 def nmerge(n1: Network, n2: Network) -> Network:
@@ -66,18 +58,14 @@ def ceomerge(c1: Connector, c2: Connector) -> Connector:
         raise WidthMismatch(
             f"cannot interleave widths {c1.width} and {c2.width}"
         )
-    m = c1.width
-    link = []
-    flip = []
-    for i in range(m + m):
-        x = idiv2(i, m)
-        if i % 2:
-            link.append(olift(c2.link[x], m))
-            flip.append(c2.flip[x])
-        else:
-            link.append(elift(c1.link[x], m))
-            flip.append(c1.flip[x])
-    return Connector(m + m, tuple(link), tuple(flip))
+    width = c1.width + c2.width
+    link = [0] * width
+    link[0::2] = [2 * j for j in c1.link]
+    link[1::2] = [2 * j + 1 for j in c2.link]
+    flip = [False] * width
+    flip[0::2] = c1.flip
+    flip[1::2] = c2.flip
+    return Connector(width, tuple(link), tuple(flip))
 
 
 def neomerge(n1: Network, n2: Network) -> Network:

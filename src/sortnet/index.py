@@ -1,14 +1,6 @@
-"""Bounded line-index arithmetic with explicit clamping.
+"""Line counts of the power-of-two generators and their size guard."""
 
-Indices are plain integers paired with the exclusive bound they live
-under; every function validates both.  Out-of-range results clamp to a
-fixed point instead of wrapping (the last index under a successor, zero
-under a predecessor, sums or differences that would leave the range stay
-put).  The jump connectors stay involutive only because of these exact
-fixed points, so none of the clamping here is negotiable.
-"""
-
-from .errors import IndexOutOfRange, Overflow, ZeroWidth
+from .errors import Overflow
 
 #: Largest exponent accepted by :func:`pow2` and all power-of-two-width
 #: network generators; 2**30 lines is already far beyond desk scale.
@@ -27,88 +19,3 @@ def pow2(exponent: int) -> int:
     if exponent > MAX_EXPONENT:
         raise Overflow(f"exponent {exponent} exceeds guard {MAX_EXPONENT}")
     return 1 << exponent
-
-
-def _check_bound(bound: int) -> None:
-    if bound <= 0:
-        raise ZeroWidth(f"operation needs a positive width, got {bound}")
-
-
-def _check_index(i: int, bound: int) -> None:
-    if not 0 <= i < bound:
-        raise IndexOutOfRange(f"index {i} not in [0, {bound})")
-
-
-def idiv2(i: int, half: int) -> int:
-    """Map an index below ``half + half`` to its pair index below ``half``."""
-    _check_bound(half)
-    _check_index(i, half + half)
-    return i // 2
-
-
-def elift(i: int, half: int) -> int:
-    """Even embedding of an index below ``half`` into ``half + half``."""
-    _check_bound(half)
-    _check_index(i, half)
-    return 2 * i
-
-
-def olift(i: int, half: int) -> int:
-    """Odd embedding of an index below ``half`` into ``half + half``."""
-    _check_bound(half)
-    _check_index(i, half)
-    return 2 * i + 1
-
-
-def inext(i: int, bound: int) -> int:
-    """Successor, fixed at the last index."""
-    _check_bound(bound)
-    _check_index(i, bound)
-    return i if i == bound - 1 else i + 1
-
-
-def ipred(i: int, bound: int) -> int:
-    """Predecessor, fixed at zero."""
-    _check_bound(bound)
-    _check_index(i, bound)
-    return i - 1 if i > 0 else 0
-
-
-def iadd(k: int, i: int, bound: int) -> int:
-    """``i + k`` when that stays below the bound, otherwise ``i`` unchanged."""
-    if k < 0:
-        raise ValueError(f"jump must be nonnegative, got {k}")
-    _check_bound(bound)
-    _check_index(i, bound)
-    return k + i if k + i <= bound - 1 else i
-
-
-def isub(k: int, i: int, bound: int) -> int:
-    """``i - k`` when that stays nonnegative, otherwise ``i`` unchanged."""
-    if k < 0:
-        raise ValueError(f"jump must be nonnegative, got {k}")
-    _check_bound(bound)
-    _check_index(i, bound)
-    return i - k if k <= i else i
-
-
-def rev_index(i: int, bound: int) -> int:
-    """Mirror an index: ``bound - 1 - i``."""
-    _check_bound(bound)
-    _check_index(i, bound)
-    return bound - 1 - i
-
-
-def split_index(i: int, left_width: int, right_width: int) -> tuple[str, int]:
-    """Resolve an index below ``left_width + right_width`` to one side.
-
-    Returns ``("left", i)`` when the index falls in the first block and
-    ``("right", i - left_width)`` otherwise; the inverse of placing two
-    index ranges side by side.
-    """
-    if left_width < 0 or right_width < 0:
-        raise ValueError("widths must be nonnegative")
-    _check_index(i, left_width + right_width)
-    if i < left_width:
-        return ("left", i)
-    return ("right", i - left_width)

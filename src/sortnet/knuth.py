@@ -13,7 +13,7 @@ from typing import Sequence
 from .combinators import neodup
 from .core import Connector, Network
 from .errors import ZeroWidth
-from .index import iadd, inext, ipred, isub, pow2
+from .index import pow2
 
 
 def etake(values: Sequence) -> tuple:
@@ -44,8 +44,9 @@ def ceswap(width: int) -> Connector:
     """
     if width == 0:
         raise ZeroWidth("ceswap needs at least one line")
+    # On an odd width the last line is even and has no successor: it stays put.
     link = tuple(
-        ipred(i, width) if i % 2 else inext(i, width) for i in range(width)
+        i - 1 if i % 2 else min(i + 1, width - 1) for i in range(width)
     )
     return Connector(width, link, (False,) * width)
 
@@ -60,8 +61,14 @@ def codd_jump(k: int, width: int) -> Connector:
         raise ZeroWidth("codd_jump needs at least one line")
     if k % 2 == 0:
         return Connector.identity(width)
+    if k < 0:
+        raise ValueError(f"jump must be nonnegative, got {k}")
+    # A jump that would leave the range leaves the line unconnected: odd
+    # ``i`` and even ``i + k`` pair up exactly when both are in range, so the
+    # map stays involutive.
     link = tuple(
-        iadd(k, i, width) if i % 2 else isub(k, i, width) for i in range(width)
+        (i + k if i + k < width else i) if i % 2 else (i - k if i >= k else i)
+        for i in range(width)
     )
     return Connector(width, link, (False,) * width)
 

@@ -187,6 +187,34 @@ def test_verify_malformed_file(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content, line",
+    [
+        (b"snet 1 \xc2\xb2\n", "line 1"),  # superscript two as the width
+        (b"snet 1 4\nlayer: 0-\xc2\xb2\n", "line 2"),  # ... as a line index
+    ],
+    ids=["header", "comparator"],
+)
+def test_verify_rejects_non_ascii_digits(tmp_path, capsys, content, line):
+    path = tmp_path / "super.snet"
+    path.write_bytes(content)
+    with pytest.raises(NetworkParseError, match=line):
+        parse_text(content.decode("utf-8"))
+    assert main(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and line in err
+
+
+def test_verify_rejects_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "binary.snet"
+    path.write_bytes(b"snet 1 4\nlayer: 0-1 \xff\xfe\n")
+    assert main(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "UTF-8" in err
+
+
 def test_verify_missing_file(capsys):
     assert main(["verify", "/nonexistent/net.snet"]) == 2
     capsys.readouterr()

@@ -1,21 +1,9 @@
-"""Bounded index arithmetic: values, clamping, and inverse laws."""
+"""The power-of-two line count and its exponent guard."""
 
 import pytest
 
-from sortnet.errors import IndexOutOfRange, Overflow, ZeroWidth
-from sortnet.index import (
-    MAX_EXPONENT,
-    elift,
-    iadd,
-    idiv2,
-    inext,
-    ipred,
-    isub,
-    olift,
-    pow2,
-    rev_index,
-    split_index,
-)
+from sortnet.errors import Overflow
+from sortnet.index import MAX_EXPONENT, pow2
 
 
 def test_pow2_values():
@@ -35,123 +23,3 @@ def test_pow2_guard():
         pow2(MAX_EXPONENT + 1)
     with pytest.raises(ValueError):
         pow2(-1)
-
-
-def test_idiv2_examples():
-    assert idiv2(5, 4) == 2
-    assert idiv2(0, 4) == 0
-    assert idiv2(7, 4) == 3
-
-
-def test_elift_olift_examples():
-    assert elift(3, 4) == 6
-    assert elift(0, 4) == 0
-    assert elift(2, 4) == 4
-    assert olift(3, 4) == 7
-    assert olift(0, 4) == 1
-    assert olift(1, 4) == 3
-
-
-def test_lifts_invert_idiv2_and_have_fixed_parity():
-    for m in range(1, 17):
-        for i in range(m):
-            assert idiv2(elift(i, m), m) == i
-            assert idiv2(olift(i, m), m) == i
-            assert elift(i, m) % 2 == 0
-            assert olift(i, m) % 2 == 1
-
-
-def test_inext_examples():
-    assert inext(3, 8) == 4
-    assert inext(7, 8) == 7  # top index is a fixed point
-    assert inext(0, 8) == 1
-
-
-def test_ipred_examples():
-    assert ipred(5, 8) == 4
-    assert ipred(0, 8) == 0  # saturates at zero
-    assert ipred(1, 8) == 0
-
-
-def test_iadd_examples():
-    assert iadd(3, 2, 8) == 5
-    assert iadd(3, 6, 8) == 6  # would leave the range: unchanged
-    assert iadd(3, 4, 8) == 7
-
-
-def test_isub_examples():
-    assert isub(3, 5, 8) == 2
-    assert isub(3, 1, 8) == 1  # would go negative: unchanged
-    assert isub(3, 3, 8) == 0
-
-
-def test_jumps_invert_on_the_unclamped_domain():
-    # Even lines subtract then add back, odd lines add then subtract back;
-    # the jump connectors are involutive precisely because of this.
-    for m in range(1, 33):
-        for k in range(m + 2):
-            for i in range(m):
-                if i % 2 == 0 and k <= i:
-                    assert iadd(k, isub(k, i, m), m) == i
-                if i % 2 == 1 and i + k <= m - 1:
-                    assert isub(k, iadd(k, i, m), m) == i
-
-
-def test_rev_index_examples_and_involution():
-    assert rev_index(0, 8) == 7
-    assert rev_index(3, 8) == 4
-    assert rev_index(7, 8) == 0
-    for m in range(1, 20):
-        for i in range(m):
-            assert rev_index(rev_index(i, m), m) == i
-
-
-def test_split_index_examples():
-    assert split_index(2, 4, 4) == ("left", 2)
-    assert split_index(4, 4, 4) == ("right", 0)
-    assert split_index(7, 4, 4) == ("right", 3)
-
-
-def test_split_index_inverts_the_embeddings():
-    for m1 in range(65):
-        for m2 in range(65 - m1):
-            for j in range(m1):
-                assert split_index(j, m1, m2) == ("left", j)
-            for k in range(m2):
-                assert split_index(m1 + k, m1, m2) == ("right", k)
-
-
-def test_zero_width_is_rejected():
-    calls = [
-        lambda: idiv2(0, 0),
-        lambda: elift(0, 0),
-        lambda: olift(0, 0),
-        lambda: inext(0, 0),
-        lambda: ipred(0, 0),
-        lambda: iadd(1, 0, 0),
-        lambda: isub(1, 0, 0),
-        lambda: rev_index(0, 0),
-    ]
-    for call in calls:
-        with pytest.raises(ZeroWidth):
-            call()
-
-
-def test_out_of_range_indices_are_rejected():
-    with pytest.raises(IndexOutOfRange):
-        idiv2(8, 4)
-    with pytest.raises(IndexOutOfRange):
-        elift(4, 4)
-    with pytest.raises(IndexOutOfRange):
-        inext(8, 8)
-    with pytest.raises(IndexOutOfRange):
-        rev_index(-1, 8)
-    with pytest.raises(IndexOutOfRange):
-        split_index(8, 4, 4)
-
-
-def test_negative_jumps_are_rejected():
-    with pytest.raises(ValueError):
-        iadd(-1, 0, 4)
-    with pytest.raises(ValueError):
-        isub(-2, 0, 4)

@@ -65,6 +65,11 @@ def test_codd_jump_links():
         codd_jump(1, 0)
 
 
+def test_codd_jump_rejects_negative_odd_jumps():
+    with pytest.raises(ValueError):
+        codd_jump(-1, 8)
+
+
 def test_codd_jump_always_involutive():
     # The constructor would raise if the link map were not an involution.
     for width in range(1, 65):
