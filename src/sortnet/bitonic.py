@@ -12,33 +12,24 @@ two sorted halves, and that yields the full sorter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
 from .combinators import ndup, nmerge
 from .core import Connector, Network
 from .index import pow2
-from .verify import is_sorted
 
 
 def is_bitonic(values: Sequence) -> bool:
     """Whether some rotation splits into a rising prefix and falling suffix.
 
-    Decided by scanning every rotation; within one rotation only the
-    maximal nondecreasing prefix needs its complement inspected, since a
-    suffix of a nonincreasing sequence is itself nonincreasing.
+    Equivalently (Knuth, TAOCP vol. 3, 5.3.4), read cyclically with the
+    last element followed by the first, the strict steps change direction
+    at most twice: once at the peak and once at the trough.
     """
     s = tuple(values)
-    n = len(s)
-    if n == 0:
-        return True
-    for r in range(n + 1):
-        rotated = s[r:] + s[:r]
-        p = 1
-        while p < n and rotated[p - 1] <= rotated[p]:
-            p += 1
-        if is_sorted(rotated[p:], descending=True):
-            return True
-    return False
+    steps = [a < b for a, b in zip(s, s[1:] + s[:1]) if a != b]
+    return sum(x != y for x, y in zip(steps, steps[1:] + steps[:1])) <= 2
 
 
 @dataclass(frozen=True)
@@ -69,24 +60,18 @@ class BitonicDecomposition:
 def bitonic_bool_decomp(values: Sequence) -> BitonicDecomposition | None:
     """Three-run decomposition of a boolean sequence, or None.
 
-    Searches run lengths directly (longest head first, then longest
-    middle) so the result is canonical: constant sequences report their
-    full length as the head.  Returns None exactly when the sequence is
-    not bitonic.
+    The maximal runs are the decomposition when there are at most three,
+    and the first run is the head, so the result is canonical (longest
+    head, then longest middle): constant sequences report their full
+    length as the head.  Returns None exactly when the sequence is not
+    bitonic.
     """
-    s = tuple(bool(v) for v in values)
-    n = len(s)
-    if n == 0:
-        return BitonicDecomposition(False, 0, 0, 0)
-    for head in range(n, -1, -1):
-        for mid in range(n - head, -1, -1):
-            tail = n - head - mid
-            # The first element pins the only run value worth trying.
-            value = s[0] if head or not mid else not s[0]
-            candidate = (value,) * head + (not value,) * mid + (value,) * tail
-            if s == candidate:
-                return BitonicDecomposition(value, head, mid, tail)
-    return None
+    runs = [(v, len(list(g))) for v, g in groupby(map(bool, values))]
+    if len(runs) > 3:
+        return None
+    value = runs[0][0] if runs else False
+    head, mid, tail = [n for _, n in runs] + [0] * (3 - len(runs))
+    return BitonicDecomposition(value, head, mid, tail)
 
 
 def half_cleaner(half: int, flip: bool = False) -> Connector:

@@ -88,7 +88,12 @@ def parse_text(text: str) -> Network:
         raise NetworkParseError(
             1, f"expected header 'snet 1 <width>', got {rows[0]!r}"
         )
-    width = int(header[2])
+    try:
+        width = int(header[2])
+    except ValueError:  # more digits than int() converts
+        raise NetworkParseError(1, "header width has too many digits") from None
+    if width > 1 << MAX_EXPONENT:
+        raise NetworkParseError(1, f"width {width} exceeds 2**{MAX_EXPONENT}")
     layers = []
     for number, row in enumerate(rows[1:], start=2):
         if not row.strip():
@@ -107,7 +112,12 @@ def parse_text(text: str) -> Network:
                 or not high_text.isdigit()
             ):
                 raise NetworkParseError(number, f"bad comparator token {token!r}")
-            pairs.append((int(low_text), int(high_text), flipped))
+            try:
+                pairs.append((int(low_text), int(high_text), flipped))
+            except ValueError:  # more digits than int() converts
+                raise NetworkParseError(
+                    number, "comparator index has too many digits"
+                ) from None
         try:
             layers.append(Connector.from_pairs(width, pairs))
         except SortnetError as exc:

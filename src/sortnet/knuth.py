@@ -55,14 +55,15 @@ def codd_jump(k: int, width: int) -> Connector:
     """Connector pairing odd line ``i`` with even line ``i + k``, for odd ``k``.
 
     Jumps that would leave the range are dropped (those lines stay
-    unconnected), and an even ``k`` yields the identity connector.
+    unconnected).  An even ``k`` would pair lines of equal parity, so it
+    yields the identity connector.  A negative ``k`` is rejected.
     """
     if width == 0:
         raise ZeroWidth("codd_jump needs at least one line")
-    if k % 2 == 0:
-        return Connector.identity(width)
     if k < 0:
         raise ValueError(f"jump must be nonnegative, got {k}")
+    if k % 2 == 0:
+        return Connector.identity(width)
     # A jump that would leave the range leaves the line unconnected: odd
     # ``i`` and even ``i + k`` pair up exactly when both are in range, so the
     # map stays involutive.

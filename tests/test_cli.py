@@ -1,10 +1,14 @@
 """Text format round-trips, SVG rendering, and command-line behaviour."""
 
+import contextlib
+import io
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sortnet.batcher import batcher
 from sortnet.bitonic import bfsort, bsort
@@ -213,6 +217,107 @@ def test_verify_rejects_non_utf8_file(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and "UTF-8" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "stats", "apply"])
+def test_oversized_header_width_is_rejected_before_building(
+    tmp_path, capsys, command
+):
+    # Above 2**MAX_EXPONENT, the generators' guard; building the layer would
+    # otherwise allocate one list entry per line.
+    path = tmp_path / "huge.snet"
+    path.write_text("snet 1 99999999999\nlayer: 0-1\n")
+    with pytest.raises(NetworkParseError, match="line 1"):
+        parse_text(path.read_text())
+    extra = ["--input=0,1"] if command == "apply" else []
+    assert main([command, str(path), *extra]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: line 1: ")
+
+
+@pytest.mark.parametrize(
+    "content, line",
+    [
+        ("snet 1 " + "9" * 5000 + "\n", "line 1"),
+        ("snet 1 4\nlayer: 0-" + "0" * 5000 + "1\n", "line 2"),
+    ],
+    ids=["header", "comparator"],
+)
+def test_verify_rejects_numbers_too_long_for_int(tmp_path, capsys, content, line):
+    path = tmp_path / "long.snet"
+    path.write_text(content)
+    assert main(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and line in err
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+_TOKENS = st.one_of(
+    st.builds(
+        "{}-{}{}".format,
+        st.integers(0, 9),
+        st.integers(0, 9),
+        st.sampled_from(["", "!"]),
+    ),
+    st.sampled_from(
+        ["-", "0-", "-1", "1--2", "0-1!!", "!", "a-b", "0:1", "+1-2", "1-\u0663",
+         "0-" + "0" * 5000 + "1"]
+    ),
+)
+_ROWS = st.one_of(
+    st.lists(_TOKENS, max_size=5).map(lambda tokens: " ".join(["layer:", *tokens])),
+    st.sampled_from(["", "  ", "layer:", "layer:0-1", "Layer: 0-1", "layers: 0-1", "#"]),
+)
+# Header widths stay at 0..8, so every parsed network verifies in
+# milliseconds; oversized widths have their own test above.
+_HEADERS = st.one_of(
+    st.builds("snet 1 {}".format, st.integers(0, 8)),
+    st.sampled_from(
+        ["", "snet", "snet 1", "snet 2 4", "snet 1 4 4", "snet 1 -4", "snet 1 \u00b2",
+         " snet 1 4", "snet 1 4x", "SNET 1 4"]
+    ),
+)
+_NEAR_MISS = st.builds(
+    lambda header, rows, newline, end: (newline.join([header, *rows]) + end).encode(),
+    _HEADERS,
+    st.lists(_ROWS, max_size=6),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+    st.sampled_from(["", "\n"]),
+)
+
+
+@pytest.fixture(scope="module")
+def contract_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract") / "net.snet"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=64), _NEAR_MISS))
+def test_verify_exit_code_contract(contract_path, content):
+    # 0 is sorting, 1 a counterexample that apply reproduces, 2 an error
+    # line and nothing else; no exception ever escapes main.
+    contract_path.write_bytes(content)
+    code, out, err = _run(["verify", str(contract_path)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and err.startswith("error:")
+        return
+    assert err == ""
+    if code == 0:
+        assert "result: sorting" in out.splitlines()
+        return
+    fields = dict(line.split(": ", 1) for line in out.splitlines())
+    assert fields["result"] == "counterexample"
+    replay = _run(["apply", str(contract_path), f"--input={fields['input']}"])
+    assert replay == (0, fields["output"] + "\n", "")
 
 
 def test_verify_missing_file(capsys):

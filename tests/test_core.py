@@ -193,3 +193,18 @@ def test_identity_layers_change_nothing(net):
     identity_net = Network(net.width, (Connector.identity(net.width),) * net.size)
     values = tuple(range(net.width))
     assert identity_net.apply(values) == values
+
+
+def test_package_root_exports_the_core_only():
+    import sortnet
+
+    assert sorted(sortnet.__all__) == sorted(
+        ["Connector", "Network", "VerificationReport", "Counterexample", "NetworkStats"]
+        + ["bsort", "bfsort", "knuth_exchange", "batcher"]
+        + ["check_sorting_exhaustive", "check_sorting_oracle", "network_stats"]
+        + ["SortnetError", "IndexOutOfRange", "DuplicateLine", "DegeneratePair"]
+        + ["InvalidConnector", "WidthMismatch", "ZeroWidth", "Overflow"]
+        + ["WidthTooLarge"]
+    )
+    for name in sortnet.__all__:
+        assert getattr(sortnet, name).__name__ == name

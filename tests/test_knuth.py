@@ -66,8 +66,10 @@ def test_codd_jump_links():
 
 
 def test_codd_jump_rejects_negative_odd_jumps():
-    with pytest.raises(ValueError):
-        codd_jump(-1, 8)
+    # Negative even jumps are rejected as well, not read as the identity.
+    for k in (-1, -2, -4):
+        with pytest.raises(ValueError):
+            codd_jump(k, 8)
 
 
 def test_codd_jump_always_involutive():
