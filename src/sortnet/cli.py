@@ -134,16 +134,19 @@ _SVG_DOT_RADIUS = 3
 
 
 def _link_offsets(pairs) -> list[int]:
-    # Overlapping links within a layer shift right so they stay readable.
-    placed: list[tuple[int, int, int]] = []
+    # Overlapping links within a layer shift right so they stay readable:
+    # one step right of the rightmost earlier link they overlap.  Pairs
+    # come ascending by low line, so an earlier link overlaps exactly when
+    # it reaches this low line, and once it does not it overlaps no later
+    # link.  ``reach`` holds the high lines of the open links, the one at
+    # position k drawn at offset k.
+    reach: list[int] = []
     offsets = []
     for low, high, _ in pairs:
-        offset = 0
-        for plow, phigh, poff in placed:
-            if max(low, plow) <= min(high, phigh):
-                offset = max(offset, poff + 1)
-        placed.append((low, high, offset))
-        offsets.append(offset)
+        while reach and reach[-1] < low:
+            reach.pop()
+        offsets.append(len(reach))
+        reach.append(high)
     return offsets
 
 

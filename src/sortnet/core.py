@@ -83,7 +83,6 @@ class Connector:
             raise InvalidConnector(f"width must be nonnegative, got {width}")
         link = list(range(width))
         flip = [False] * width
-        seen: set[int] = set()
         for pair in pairs:
             if len(pair) == 2:
                 a, b = pair
@@ -95,11 +94,9 @@ class Connector:
                     raise IndexOutOfRange(f"line {idx} not in [0, {width})")
             if a == b:
                 raise DegeneratePair(f"pair links line {a} to itself")
-            if a in seen or b in seen:
-                dup = a if a in seen else b
+            if link[a] != a or link[b] != b:
+                dup = a if link[a] != a else b
                 raise DuplicateLine(f"line {dup} appears in more than one pair")
-            seen.add(a)
-            seen.add(b)
             link[a], link[b] = b, a
             flip[a] = flip[b] = bool(flipped)
         return cls(width, tuple(link), tuple(flip))
@@ -122,20 +119,7 @@ class Connector:
         minimum and line ``j`` the maximum of the two input values; a set
         flip flag exchanges those roles.  Unconnected lines pass through.
         """
-        if len(values) != self.width:
-            raise WidthMismatch(
-                f"tuple of length {len(values)} applied to width {self.width}"
-            )
-        out = list(values)
-        for i, j in enumerate(self.link):
-            if i < j:
-                a, b = values[i], values[j]
-                lo, hi = (a, b) if a <= b else (b, a)
-                if self.flip[i]:
-                    out[i], out[j] = hi, lo
-                else:
-                    out[i], out[j] = lo, hi
-        return tuple(out)
+        return Network(self.width, (self,)).apply(values)
 
 
 @dataclass(frozen=True)
@@ -160,15 +144,27 @@ class Network:
         return len(self.layers)
 
     def apply(self, values: Sequence[V]) -> tuple[V, ...]:
-        """Thread a tuple through every layer in order."""
+        """Thread a tuple through every layer in order.
+
+        This is the one evaluator for ordered values.  Each layer's
+        comparators are disjoint, so they update one working list in
+        place.  A plain comparator leaves two equal values where they
+        are; a flipped one acts as the plain one followed by exchanging
+        its two lines.
+        """
         if len(values) != self.width:
             raise WidthMismatch(
                 f"tuple of length {len(values)} applied to width {self.width}"
             )
-        out = tuple(values)
+        out = list(values)
         for layer in self.layers:
-            out = layer.apply(out)
-        return out
+            flip = layer.flip
+            for i, j in enumerate(layer.link):
+                if i < j:
+                    a, b = out[i], out[j]
+                    if (a <= b) == flip[i]:
+                        out[i], out[j] = b, a
+        return tuple(out)
 
     def __add__(self, other: "Network") -> "Network":
         if not isinstance(other, Network):

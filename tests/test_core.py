@@ -25,12 +25,14 @@ from sortnet.errors import (
 )
 
 
-def minmax_rule(link, values):
-    """Reference semantics for unflipped connectors, written line by line:
-    the lower end of every link takes the minimum, the upper the maximum."""
+def minmax_rule(link, values, flip=None):
+    """Reference semantics of one connector, written line by line: the
+    lower end of every link takes the minimum, the upper the maximum, and
+    a set flip flag exchanges the two."""
+    flip = flip or (False,) * len(link)
     out = []
     for i, j in enumerate(link):
-        if i <= j:
+        if (i <= j) != flip[i]:
             out.append(min(values[i], values[j]))
         else:
             out.append(max(values[i], values[j]))
@@ -50,8 +52,12 @@ def test_from_pairs_empty_is_identity():
 
 
 def test_from_pairs_rejects_reused_line():
-    with pytest.raises(DuplicateLine):
+    with pytest.raises(DuplicateLine, match="^line 0 appears"):
         Connector.from_pairs(4, [(0, 1), (0, 3)])
+    with pytest.raises(DuplicateLine, match="^line 1 appears"):
+        Connector.from_pairs(4, [(0, 1), (3, 1)])
+    with pytest.raises(DuplicateLine, match="^line 1 appears"):
+        Connector.from_pairs(4, [(0, 1), (1, 0)])
 
 
 def test_from_pairs_rejects_self_pair():
@@ -126,6 +132,28 @@ def test_flip_reverses_the_comparator():
 def test_unflipped_apply_matches_minmax_rule(c):
     for values in all_bool_tuples(c.width):
         assert c.apply(values) == minmax_rule(c.link, values)
+
+
+def test_ties_are_exchanged_only_by_a_flipped_comparator():
+    x, y = [0], [0]  # equal, but distinct objects
+    plain = Connector.from_pairs(2, [(0, 1)])
+    flipped = Connector.from_pairs(2, [(0, 1, True)])
+    for apply in (plain.apply, Network(2, (plain, plain)).apply):
+        out = apply((x, y))
+        assert out[0] is x and out[1] is y
+    out = flipped.apply((x, y))
+    assert out[0] is y and out[1] is x
+
+
+@given(networks(), st.data())
+def test_network_apply_matches_layer_by_layer_rule(net, data):
+    values = tuple(
+        data.draw(st.lists(st.integers(0, 3), min_size=net.width, max_size=net.width))
+    )
+    expected = values
+    for layer in net.layers:
+        expected = minmax_rule(layer.link, expected, layer.flip)
+    assert net.apply(values) == expected
 
 
 def test_empty_network_is_identity():

@@ -1,8 +1,10 @@
-"""Byte-identical ``render_text`` output of every generator, m = 0..9.
+"""Byte-identical ``render_text`` (m = 0..9) and ``render_svg`` (m = 0..7)
+output of every generator.
 
-The digests pin the exact comparator layout of each construction, so a
-rewrite of the combinators or the jump and swap connectors that changes
-any line, flag or layer order fails here.
+The text digests pin the exact comparator layout of each construction, so
+a rewrite of the combinators or the jump and swap connectors that changes
+any line, flag or layer order fails here.  The SVG digests also pin the
+drawing's layout, including the sideways offsets of overlapping links.
 """
 
 import hashlib
@@ -11,7 +13,7 @@ import pytest
 
 from sortnet.batcher import batcher
 from sortnet.bitonic import bfsort, bsort
-from sortnet.cli import render_text
+from sortnet.cli import render_svg, render_text
 from sortnet.knuth import knuth_exchange
 
 GENERATORS = {
@@ -87,9 +89,72 @@ DIGESTS = {
 }
 
 
+# sha256 of render_svg(GENERATORS[name](m)) for m = 0, 1, ..., 7.
+SVG_DIGESTS = {
+    "bsort": (
+        "a6c5c7ed26c6275164a06a1e85fb07b967a20738cfef1840c5eb9349b762c58b",
+        "0fdf595a8c14c049c9a56ee3404c2a1585eb46b8a1f028d63f0f280baccf55aa",
+        "2dbaf068a163fc8a90ac85d87d6af26aa348a01d9afb78911ab61ccebff18460",
+        "b1d50eb251a7ff3b11bf7cdd58e4420c680d372cd83861e4acdf9a7d9ba2b6f1",
+        "8506586fb48a9075fd09d0328ed6d7d7efdc7518d13ed34544743314ea7ade13",
+        "5f1d8c64319fa5780e7d971553ce2609dd88333a66930de7a6677f3b68bd2a31",
+        "303ecf290eb0d75d00a87fcbb14c3700abd5ea3b456b376de1314f34a6acd8a7",
+        "9ca38ba4bc04d0ac58ae4eaeaa2e7d766e513435984b257ed6df6e78c692a2e9",
+    ),
+    "bfsort": (
+        "a6c5c7ed26c6275164a06a1e85fb07b967a20738cfef1840c5eb9349b762c58b",
+        "0fdf595a8c14c049c9a56ee3404c2a1585eb46b8a1f028d63f0f280baccf55aa",
+        "93ead2549d67385274846995ea1ff26d239d24c708411d1e6356da152d3d22db",
+        "20c408a3fb944ae7f39348319205dfe9462c2d92d932be576422ffc9be2525cc",
+        "d9f3d3f353efe984885af38108963c00c8c823f8e97c541121af4f36107d1824",
+        "0cacdc404eb83fe516d8bc47d221d7635591ebb161d45e4c96e59e4b4a92c2a3",
+        "c1be89600a8cc71025d0238020e3cef1608dcb5aa6e451880af6765fc98a9587",
+        "66f1e4eca950af8f527f9d3beed058fb6f16ce191891a99cd697890c57be207f",
+    ),
+    "bfsort-flip": (
+        "a6c5c7ed26c6275164a06a1e85fb07b967a20738cfef1840c5eb9349b762c58b",
+        "f6af891842b37c164086365816be4094b74a9ef02348daac1c6635ea1a22d393",
+        "a75a096b6b50052f29f7ff31fa61e192a722d48a661ff09f1faecea1b6a7383b",
+        "d7d99bffeebaf02d133361256dd73ef4737b3f0fe88c9a9a2de9a5e98505896d",
+        "b847214e6a1dda852ad91248fbcd4346870a5db2c2171fdc8acb244a87714407",
+        "d5c5af3c06163cd6dc2573f4ff2528432a132a029068463e6b304bab304aa486",
+        "7bb2c0ec4c817c0265e9d63c7438e37c503bc1ddec3db20e2b6e5fec8ce0e263",
+        "3eb21b7b0f9f9e6f73e297f953099feaae5bf3e014824f5e566e1b4f0690da99",
+    ),
+    "knuth": (
+        "a6c5c7ed26c6275164a06a1e85fb07b967a20738cfef1840c5eb9349b762c58b",
+        "0fdf595a8c14c049c9a56ee3404c2a1585eb46b8a1f028d63f0f280baccf55aa",
+        "d64f7327b3af381ce2fa3b6a27eba07afeab63828e767cdecc1be687232ce470",
+        "1a2b29513664e2b6fdd58fd897c6ea2d42f824f9f0c3c2a092ee12558e20da04",
+        "0aa59014f02f0d4a1fb2b9f3727365220da2111d5d08cafcb031dae84fe2c31e",
+        "0600b162318882fd740401b9b61335b53079d9f4d0e25b149a664cd761e03eac",
+        "8f752413306c86a916bc7a4d88e2de62e665943d92fd48aff2b9ec0f67416302",
+        "98c2b3918550c95b4a8bb5ba65338ded940901c201bccdd3cac1bc27bcb03908",
+    ),
+    "batcher": (
+        "a6c5c7ed26c6275164a06a1e85fb07b967a20738cfef1840c5eb9349b762c58b",
+        "0fdf595a8c14c049c9a56ee3404c2a1585eb46b8a1f028d63f0f280baccf55aa",
+        "ad349f66fcae852aa32f232a681cb5ebfddb7f6dbc51aa65833b826057b99147",
+        "7405c8a3fa38452159703fbc822c8c8f31456777dcf1818ecc34fddd589ce358",
+        "eb582386e450a9dc04b42bf6b1d272dc20138dd8e577266a30f3a04cd2cf6f37",
+        "4a2a63a6ebc59cdd48bf90b0455b161a034dbbb463e10bfa109e1af64c2503f2",
+        "9f29591f36d47f869937105d392fca03fb699fbb557d63a015058d98f1174389",
+        "17d92a3e8ad84be14b847a93e175896d765e7d1128a9950994c660fd5a5ac2ba",
+    ),
+}
+
+
 @pytest.mark.parametrize("name", sorted(GENERATORS))
 def test_render_text_is_byte_identical(name):
     build = GENERATORS[name]
     for m, expected in enumerate(DIGESTS[name]):
         text = render_text(build(m))
         assert hashlib.sha256(text.encode()).hexdigest() == expected, (name, m)
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_render_svg_is_byte_identical(name):
+    build = GENERATORS[name]
+    for m, expected in enumerate(SVG_DIGESTS[name]):
+        svg = render_svg(build(m))
+        assert hashlib.sha256(svg.encode()).hexdigest() == expected, (name, m)
