@@ -7,7 +7,7 @@ invariants by construction, and the constructor revalidates anyway.
 """
 
 from .core import Connector, Network
-from .errors import WidthMismatch
+from .errors import SortnetError, WidthMismatch
 
 
 def cswap(i: int, j: int, width: int) -> Connector:
@@ -30,13 +30,13 @@ def cmerge(c1: Connector, c2: Connector) -> Connector:
 
 
 def nmerge(n1: Network, n2: Network) -> Network:
-    """Layerwise side-by-side merge of two networks.
+    """Layerwise side-by-side merge of two networks of equal depth.
 
-    Layers are paired off in order; if the operands have different depths
-    the surplus layers of the longer one are dropped, so this is only
-    lossless on equal-size operands (the generators never call it
-    otherwise).
+    Layers are paired off in order; operands of different depths raise
+    :class:`SortnetError` (a ``ValueError``) naming both.
     """
+    if n1.size != n2.size:
+        raise SortnetError(f"cannot merge depths {n1.size} and {n2.size}")
     width = n1.width + n2.width
     layers = tuple(cmerge(a, b) for a, b in zip(n1.layers, n2.layers))
     return Network(width, layers)

@@ -41,12 +41,15 @@ def test_cmerge_carries_flips_from_each_side():
     assert merged.flip == (True, True, False, False)
 
 
-def test_nmerge_truncates_to_the_shorter_operand():
+def test_nmerge_rejects_unequal_depths():
     n2 = Network(2, (Connector.identity(2),) * 2)
     n3 = Network(3, (Connector.identity(3),) * 3)
-    assert nmerge(n2, n3).size == 2
-    assert nmerge(Network(2, ()), n3).size == 0
-    assert nmerge(n3, n3).size == n3.size
+    with pytest.raises(ValueError, match="depths 2 and 3"):
+        nmerge(n2, n3)
+    with pytest.raises(ValueError, match="depths 0 and 3"):
+        nmerge(Network(2, ()), n3)
+    merged = nmerge(n3, n3)
+    assert (merged.width, merged.size) == (6, n3.size)
 
 
 def test_ndup_preserves_size():

@@ -2,14 +2,16 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
 
 from conftest import networks_with_int_tuples
+from sortnet import verify
 from sortnet.batcher import batcher
 from sortnet.bitonic import bfsort, bsort
-from sortnet.combinators import cswap
+from sortnet.combinators import cswap, nmerge
 from sortnet.core import Connector, Network, map_values
 from sortnet.errors import WidthTooLarge
 from sortnet.knuth import knuth_exchange
@@ -31,6 +33,69 @@ def scan_first_unsorted_input(network):
         if not is_sorted(network.apply(values)):
             return values
     return None
+
+
+def input_number(values):
+    """Position of a boolean tuple in lexicographic order."""
+    return sum(bit << (len(values) - 1 - i) for i, bit in enumerate(values))
+
+
+def assert_agrees_with_plain_scan(network):
+    report = check_sorting_exhaustive(network)
+    first = scan_first_unsorted_input(network)
+    assert report.mode == "exhaustive"
+    if first is None:
+        assert report.is_sorting
+        assert report.inputs_checked == 2**network.width
+        assert report.counterexample is None
+    else:
+        assert not report.is_sorting
+        assert report.counterexample.input == first
+        assert report.inputs_checked == input_number(first) + 1
+        # Reproducible: re-running the network confirms the failure.
+        out = network.apply(report.counterexample.input)
+        assert out == report.counterexample.output
+        assert not is_sorted(out)
+
+
+def whole_lane_first_failure(network):
+    """The exhaustive evaluator without chunks, as a reference: one lane
+    of all ``2**width`` inputs per line.  Returns the number of the first
+    unsorted input, or None."""
+    width = network.width
+    lanes = []
+    for i in range(width):
+        run = 1 << (width - 1 - i)  # bit b is line i's value for input b
+        lanes.append(int(("1" * run + "0" * run) * (1 << i), 2))
+    for layer in network.layers:
+        for i, j, flipped in layer.pairs():
+            lo, hi = lanes[i] & lanes[j], lanes[i] | lanes[j]
+            lanes[i], lanes[j] = (hi, lo) if flipped else (lo, hi)
+    violations = 0
+    for i in range(width - 1):
+        violations |= lanes[i] & ~lanes[i + 1]
+    if violations == 0:
+        return None
+    return (violations & -violations).bit_length() - 1
+
+
+def odd_even_transposition(width):
+    """``width`` alternating layers of neighbour comparators; a sorter."""
+    return Network(width, tuple(
+        Connector.from_pairs(width, [(i, i + 1) for i in range(t % 2, width - 1, 2)])
+        for t in range(width)
+    ))
+
+
+def flip_mutants(network):
+    """Every network that differs from ``network`` in one comparator's flag."""
+    for t, layer in enumerate(network.layers):
+        pairs = layer.pairs()
+        for k, (i, j, flipped) in enumerate(pairs):
+            changed = pairs[:k] + [(i, j, not flipped)] + pairs[k + 1:]
+            layers = list(network.layers)
+            layers[t] = Connector.from_pairs(network.width, changed)
+            yield Network(network.width, tuple(layers))
 
 
 def sorts_all_permutations(network):
@@ -88,19 +153,63 @@ def test_exhaustive_matches_plain_scan_on_random_networks():
     rng = random.Random(42)
     for _ in range(80):
         width = rng.randint(0, 8)
-        net = random_network(width, rng.randint(0, 6), rng)
+        assert_agrees_with_plain_scan(random_network(width, rng.randint(0, 6), rng))
+
+
+@pytest.mark.parametrize("chunk_bits", range(5))
+def test_exhaustive_matches_plain_scan_across_chunks(monkeypatch, chunk_bits):
+    # Chunks of 1 to 16 inputs put chunk boundaries between the failures.
+    monkeypatch.setattr(verify, "_CHUNK_BITS", chunk_bits)
+    rng = random.Random(chunk_bits)
+    for width in range(10):
+        for _ in range(4):
+            assert_agrees_with_plain_scan(random_network(width, rng.randint(0, 2 * width), rng))
+    for make in (bsort, knuth_exchange, batcher):
+        for m in range(4):
+            assert_agrees_with_plain_scan(make(m))
+            for mutant in flip_mutants(make(m)):
+                assert_agrees_with_plain_scan(mutant)
+
+
+def test_exhaustive_matches_whole_lane_evaluator_at_width_18():
+    sorter = odd_even_transposition(18)
+    assert whole_lane_first_failure(sorter) is None
+    assert check_sorting_exhaustive(sorter).inputs_checked == 2**18
+    chunks = set()
+    for net in list(flip_mutants(sorter))[::6]:
+        first = whole_lane_first_failure(net)
         report = check_sorting_exhaustive(net)
-        first = scan_first_unsorted_input(net)
-        if first is None:
-            assert report.is_sorting
-            assert report.inputs_checked == 2**width
-        else:
-            assert not report.is_sorting
-            assert report.counterexample.input == first
-            # Reproducible: re-running the network confirms the failure.
-            out = net.apply(report.counterexample.input)
-            assert out == report.counterexample.output
-            assert not is_sorted(out)
+        assert report.inputs_checked == first + 1
+        assert input_number(report.counterexample.input) == first
+        assert net.apply(report.counterexample.input) == report.counterexample.output
+        chunks.add(first >> verify._CHUNK_BITS)
+    assert len(chunks) > 1
+
+
+@pytest.mark.parametrize("width", sorted({17, verify._CHUNK_BITS + 1}))
+def test_first_failure_opens_a_chunk(width):
+    # Lines 1.. are sorted and line 0 is never touched, so every input
+    # with line 0 False passes and the first one with line 0 True fails.
+    below = odd_even_transposition(width - 1)
+    net = nmerge(Network(1, (Connector.identity(1),) * below.size), below)
+    report = check_sorting_exhaustive(net)
+    assert report.inputs_checked == 2 ** (width - 1) + 1
+    assert report.counterexample.input == (True,) + (False,) * (width - 1)
+    assert report.counterexample.output == report.counterexample.input
+
+
+def test_exhaustive_early_failure_at_width_24():
+    net = random_network(24, 60, random.Random(0))
+    tracemalloc.start()
+    try:
+        report = check_sorting_exhaustive(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.inputs_checked == 2
+    assert net.apply(report.counterexample.input) == report.counterexample.output
+    # One lane of all 2**24 inputs alone would take 2 MB.
+    assert peak < 1 << 20
 
 
 def test_oracle_runs_all_permutations_on_small_widths():
