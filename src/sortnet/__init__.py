@@ -9,7 +9,9 @@ enumeration or a sampled integer oracle.  A small CLI (``sortnet``)
 fronts the same operations and serializes networks as text or SVG.
 
 The root exports the generators, data types, checkers and errors;
-building blocks and proof predicates stay in their submodules.
+building blocks stay in their submodules.  The paper's specification
+predicates (sortedness, permutation, bitonicity) are the test suite's
+oracle and are not part of the package.
 """
 
 from .batcher import batcher

@@ -11,67 +11,9 @@ two sorted halves, and that yields the full sorter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import groupby
-from typing import Sequence
-
 from .combinators import ndup, nmerge
 from .core import Connector, Network
 from .index import pow2
-
-
-def is_bitonic(values: Sequence) -> bool:
-    """Whether some rotation splits into a rising prefix and falling suffix.
-
-    Equivalently (Knuth, TAOCP vol. 3, 5.3.4), read cyclically with the
-    last element followed by the first, the strict steps change direction
-    at most twice: once at the peak and once at the trough.
-    """
-    s = tuple(values)
-    steps = [a < b for a, b in zip(s, s[1:] + s[:1]) if a != b]
-    return sum(x != y for x, y in zip(steps, steps[1:] + steps[:1])) <= 2
-
-
-@dataclass(frozen=True)
-class BitonicDecomposition:
-    """Three-run normal form of a bitonic boolean sequence.
-
-    Reconstructs ``head`` copies of ``value``, then ``mid`` copies of its
-    negation, then ``tail`` copies of ``value`` again.
-    """
-
-    value: bool
-    head: int
-    mid: int
-    tail: int
-
-    @property
-    def length(self) -> int:
-        return self.head + self.mid + self.tail
-
-    def to_tuple(self) -> tuple[bool, ...]:
-        return (
-            (self.value,) * self.head
-            + (not self.value,) * self.mid
-            + (self.value,) * self.tail
-        )
-
-
-def bitonic_bool_decomp(values: Sequence) -> BitonicDecomposition | None:
-    """Three-run decomposition of a boolean sequence, or None.
-
-    The maximal runs are the decomposition when there are at most three,
-    and the first run is the head, so the result is canonical (longest
-    head, then longest middle): constant sequences report their full
-    length as the head.  Returns None exactly when the sequence is not
-    bitonic.
-    """
-    runs = [(v, len(list(g))) for v, g in groupby(map(bool, values))]
-    if len(runs) > 3:
-        return None
-    value = runs[0][0] if runs else False
-    head, mid, tail = [n for _, n in runs] + [0] * (3 - len(runs))
-    return BitonicDecomposition(value, head, mid, tail)
 
 
 def half_cleaner(half: int, flip: bool = False) -> Connector:
@@ -139,5 +81,10 @@ def bfsort(flip: bool, m: int) -> Network:
     pow2(m)
     if m == 0:
         return Network(1, ())
-    halves = nmerge(bfsort(flip, m - 1), bfsort(not flip, m - 1))
-    return halves + half_cleaner_rec(m, flip)
+    half = bfsort(flip, m - 1)
+    # Every bfsort layer connects all of its lines, so negating every flag
+    # of the ``flip`` half gives exactly the ``not flip`` half.
+    other = tuple(
+        Connector(c.width, c.link, tuple(not f for f in c.flip)) for c in half.layers
+    )
+    return nmerge(half, Network(half.width, other)) + half_cleaner_rec(m, flip)

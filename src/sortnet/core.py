@@ -10,7 +10,7 @@ synchronization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Iterable, Sequence, TypeVar
 
 from .errors import (
     DegeneratePair,
@@ -21,7 +21,6 @@ from .errors import (
 )
 
 V = TypeVar("V")
-W = TypeVar("W")
 
 #: A comparator pair as accepted by :meth:`Connector.from_pairs`:
 #: ``(low, high)`` or ``(low, high, flipped)``.
@@ -174,13 +173,3 @@ class Network:
                 f"cannot concatenate widths {self.width} and {other.width}"
             )
         return Network(self.width, self.layers + other.layers)
-
-
-def map_values(func: Callable[[V], W], values: Sequence[V]) -> tuple[W, ...]:
-    """Apply ``func`` to every entry of a value tuple.
-
-    When ``func`` is strictly monotone this commutes with connector and
-    network application, which is what lets boolean verdicts transfer to
-    arbitrary ordered domains.
-    """
-    return tuple(func(v) for v in values)

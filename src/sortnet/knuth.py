@@ -8,27 +8,10 @@ that gap down to at most one, which is exactly when the interleaving is
 sorted as a whole.
 """
 
-from typing import Sequence
-
 from .combinators import neodup
 from .core import Connector, Network
 from .errors import ZeroWidth
 from .index import pow2
-
-
-def etake(values: Sequence) -> tuple:
-    """Entries at even positions."""
-    return tuple(values[::2])
-
-
-def otake(values: Sequence) -> tuple:
-    """Entries at odd positions."""
-    return tuple(values[1::2])
-
-
-def count_false(values: Sequence) -> int:
-    """Number of falsy entries; the bookkeeping quantity of the jump layers."""
-    return sum(1 for v in values if not v)
 
 
 def uphalf(n: int) -> int:

@@ -1,4 +1,4 @@
-"""Deciding whether a network sorts, plus permutation checks and statistics.
+"""Deciding whether a network sorts, and counting its layers and comparators.
 
 A network sorts every input over every ordered domain exactly when it
 sorts every boolean input, and with ``w`` lines there are only ``2**w``
@@ -18,11 +18,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
 
-from .core import Connector, Network
+from .core import Network
 from .errors import WidthTooLarge
 
 #: Exhaustive enumeration guard: 2**24 boolean inputs is the most this
@@ -43,18 +41,6 @@ MAX_PERMUTATION_WIDTH = 8
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
-
-
-def is_sorted(values: Sequence, descending: bool = False) -> bool:
-    """Whether adjacent entries are nondecreasing (or nonincreasing)."""
-    if descending:
-        return all(a >= b for a, b in zip(values, values[1:]))
-    return all(a <= b for a, b in zip(values, values[1:]))
-
-
-def is_perm_of(s1: Sequence, s2: Sequence) -> bool:
-    """Multiset equality of two sequences."""
-    return Counter(s1) == Counter(s2)
 
 
 @dataclass(frozen=True)
@@ -214,28 +200,4 @@ def network_stats(network: Network) -> NetworkStats:
     return NetworkStats(
         layers=network.size,
         comparators=sum(len(layer.pairs()) for layer in network.layers),
-    )
-
-
-def random_connector(width: int, rng: random.Random) -> Connector:
-    """A connector from a random partial matching of the lines.
-
-    Invariants hold by construction: a shuffled prefix of the lines is
-    paired off two at a time, everything else stays unconnected.  Each
-    comparator is flipped with probability one half.
-    """
-    lines = list(range(width))
-    rng.shuffle(lines)
-    pair_count = rng.randint(0, width // 2)
-    pairs = []
-    for t in range(pair_count):
-        a, b = lines[2 * t], lines[2 * t + 1]
-        pairs.append((a, b, rng.random() < 0.5))
-    return Connector.from_pairs(width, pairs)
-
-
-def random_network(width: int, depth: int, rng: random.Random) -> Network:
-    """A network of ``depth`` random connectors; see :func:`random_connector`."""
-    return Network(
-        width, tuple(random_connector(width, rng) for _ in range(depth))
     )

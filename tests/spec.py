@@ -1,0 +1,139 @@
+"""The paper's specification predicates and the suite's random networks.
+
+The paper proves its four constructions correct against these
+predicates: sortedness, permutation, bitonicity, the even/odd slices and
+their false counts.  Here they state the same lemmas and serve as the
+test suite's oracle; the program itself never calls them.
+
+``random_network`` draws from its ``rng`` in a fixed order (per layer:
+shuffle, pair count, then one flip draw per pair).  Seeded tests depend
+on the networks it returns, so that call order must not change.
+"""
+
+from __future__ import annotations
+
+import random
+from collections import Counter
+from dataclasses import dataclass
+from itertools import groupby
+from typing import Callable, Sequence, TypeVar
+
+from sortnet.core import Connector, Network
+
+V = TypeVar("V")
+W = TypeVar("W")
+
+
+def is_sorted(values: Sequence, descending: bool = False) -> bool:
+    """Whether adjacent entries are nondecreasing (or nonincreasing)."""
+    if descending:
+        return all(a >= b for a, b in zip(values, values[1:]))
+    return all(a <= b for a, b in zip(values, values[1:]))
+
+
+def is_perm_of(s1: Sequence, s2: Sequence) -> bool:
+    """Multiset equality of two sequences."""
+    return Counter(s1) == Counter(s2)
+
+
+def map_values(func: Callable[[V], W], values: Sequence[V]) -> tuple[W, ...]:
+    """Apply ``func`` to every entry of a value tuple.
+
+    When ``func`` is strictly monotone this commutes with connector and
+    network application, which is what lets boolean verdicts transfer to
+    arbitrary ordered domains.
+    """
+    return tuple(func(v) for v in values)
+
+
+def etake(values: Sequence) -> tuple:
+    """Entries at even positions."""
+    return tuple(values[::2])
+
+
+def otake(values: Sequence) -> tuple:
+    """Entries at odd positions."""
+    return tuple(values[1::2])
+
+
+def count_false(values: Sequence) -> int:
+    """Number of falsy entries; the bookkeeping quantity of the jump layers."""
+    return sum(1 for v in values if not v)
+
+
+def is_bitonic(values: Sequence) -> bool:
+    """Whether some rotation splits into a rising prefix and falling suffix.
+
+    Equivalently (Knuth, TAOCP vol. 3, 5.3.4), read cyclically with the
+    last element followed by the first, the strict steps change direction
+    at most twice: once at the peak and once at the trough.
+    """
+    s = tuple(values)
+    steps = [a < b for a, b in zip(s, s[1:] + s[:1]) if a != b]
+    return sum(x != y for x, y in zip(steps, steps[1:] + steps[:1])) <= 2
+
+
+@dataclass(frozen=True)
+class BitonicDecomposition:
+    """Three-run normal form of a bitonic boolean sequence.
+
+    Reconstructs ``head`` copies of ``value``, then ``mid`` copies of its
+    negation, then ``tail`` copies of ``value`` again.
+    """
+
+    value: bool
+    head: int
+    mid: int
+    tail: int
+
+    @property
+    def length(self) -> int:
+        return self.head + self.mid + self.tail
+
+    def to_tuple(self) -> tuple[bool, ...]:
+        return (
+            (self.value,) * self.head
+            + (not self.value,) * self.mid
+            + (self.value,) * self.tail
+        )
+
+
+def bitonic_bool_decomp(values: Sequence) -> BitonicDecomposition | None:
+    """Three-run decomposition of a boolean sequence, or None.
+
+    The maximal runs are the decomposition when there are at most three,
+    and the first run is the head, so the result is canonical (longest
+    head, then longest middle): constant sequences report their full
+    length as the head.  Returns None exactly when the sequence is not
+    bitonic.
+    """
+    runs = [(v, len(list(g))) for v, g in groupby(map(bool, values))]
+    if len(runs) > 3:
+        return None
+    value = runs[0][0] if runs else False
+    head, mid, tail = [n for _, n in runs] + [0] * (3 - len(runs))
+    return BitonicDecomposition(value, head, mid, tail)
+
+
+def random_connector(width: int, rng: random.Random) -> Connector:
+    """A connector from a random partial matching of the lines.
+
+    Invariants hold by construction: a shuffled prefix of the lines is
+    paired off two at a time, everything else stays unconnected.  Each
+    comparator is flipped with probability one half.
+    """
+    lines = list(range(width))
+    rng.shuffle(lines)
+    pair_count = rng.randint(0, width // 2)
+    pairs = []
+    for t in range(pair_count):
+        a, b = lines[2 * t], lines[2 * t + 1]
+        pairs.append((a, b, rng.random() < 0.5))
+    return Connector.from_pairs(width, pairs)
+
+
+def random_network(width: int, depth: int, rng: random.Random) -> Network:
+    """A network of ``depth`` random connectors; see :func:`random_connector`."""
+    return Network(
+        width, tuple(random_connector(width, rng) for _ in range(depth))
+    )

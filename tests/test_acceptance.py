@@ -14,16 +14,9 @@ import pytest
 
 from conftest import all_bool_tuples
 from sortnet.batcher import batcher, batcher_merge, batcher_merge_rec_aux
-from sortnet.bitonic import (
-    bfsort,
-    bitonic_bool_decomp,
-    bsort,
-    half_cleaner,
-    half_cleaner_rec,
-    is_bitonic,
-)
+from sortnet.bitonic import bfsort, bsort, half_cleaner, half_cleaner_rec
 from sortnet.cli import main, parse_text, render_text
-from sortnet.core import Connector, Network, map_values
+from sortnet.core import Connector, Network
 from sortnet.errors import (
     DegeneratePair,
     DuplicateLine,
@@ -32,21 +25,17 @@ from sortnet.errors import (
     WidthMismatch,
 )
 from sortnet.index import pow2
-from sortnet.knuth import (
-    ceswap,
-    codd_jump,
+from sortnet.knuth import ceswap, codd_jump, knuth_exchange, knuth_jump_rec, uphalf
+from sortnet.verify import check_sorting_exhaustive, network_stats
+from spec import (
+    bitonic_bool_decomp,
     count_false,
     etake,
-    knuth_exchange,
-    knuth_jump_rec,
-    otake,
-    uphalf,
-)
-from sortnet.verify import (
-    check_sorting_exhaustive,
+    is_bitonic,
     is_perm_of,
     is_sorted,
-    network_stats,
+    map_values,
+    otake,
     random_network,
 )
 

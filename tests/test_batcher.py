@@ -13,8 +13,8 @@ from sortnet.combinators import cswap
 from sortnet.core import Connector, Network
 from sortnet.errors import Overflow, ZeroWidth
 from sortnet.index import pow2
-from sortnet.knuth import count_false, etake, otake
-from sortnet.verify import check_sorting_exhaustive, is_sorted
+from sortnet.verify import check_sorting_exhaustive
+from spec import count_false, etake, is_sorted, otake
 
 
 def test_batcher_merge_links():

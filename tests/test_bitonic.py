@@ -6,21 +6,20 @@ import random
 import pytest
 
 from conftest import all_bool_tuples
+from sortnet import bitonic
 from sortnet.bitonic import (
-    BitonicDecomposition,
     bfsort,
-    bitonic_bool_decomp,
     bsort,
     half_cleaner,
     half_cleaner_rec,
-    is_bitonic,
     rhalf_cleaner,
     rhalf_cleaner_rec,
 )
 from sortnet.core import Network
 from sortnet.errors import Overflow
 from sortnet.index import pow2
-from sortnet.verify import check_sorting_exhaustive, is_sorted, network_stats
+from sortnet.verify import check_sorting_exhaustive, network_stats
+from spec import BitonicDecomposition, bitonic_bool_decomp, is_bitonic, is_sorted
 
 
 def rotation_split_bitonic(values):
@@ -268,6 +267,23 @@ def test_bfsort_true_sorts_descending():
         net = bfsort(True, m)
         for t in all_bool_tuples(net.width):
             assert is_sorted(net.apply(t), descending=True)
+
+
+def test_bfsort_builds_each_level_once(monkeypatch):
+    # The opposite-orientation half is derived from the other half, not
+    # rebuilt, so bfsort(flip, m) recurses once per level.
+    calls = []
+    original = bitonic.bfsort
+
+    def counted(flip, m):
+        calls.append(m)
+        return original(flip, m)
+
+    monkeypatch.setattr(bitonic, "bfsort", counted)
+    for m in range(7):
+        calls.clear()
+        bitonic.bfsort(False, m)
+        assert len(calls) == m + 1
 
 
 def test_generators_reject_oversized_exponents():

@@ -225,15 +225,16 @@ def test_oversized_header_width_is_rejected_before_building(
 ):
     # Above 2**MAX_EXPONENT, the generators' guard; building the layer would
     # otherwise allocate one list entry per line.
-    path = tmp_path / "huge.snet"
-    path.write_text("snet 1 99999999999\nlayer: 0-1\n")
-    with pytest.raises(NetworkParseError, match="line 1"):
-        parse_text(path.read_text())
-    extra = ["--input=0,1"] if command == "apply" else []
-    assert main([command, str(path), *extra]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: line 1: ")
+    for width in ("99999999999", "65537"):
+        path = tmp_path / "huge.snet"
+        path.write_text(f"snet 1 {width}\nlayer: 0-1\n")
+        with pytest.raises(NetworkParseError, match="line 1"):
+            parse_text(path.read_text())
+        extra = ["--input=0,1"] if command == "apply" else []
+        assert main([command, str(path), *extra]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: line 1: ")
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ from sortnet.bitonic import half_cleaner
 from sortnet.combinators import cmerge, ceomerge, cswap, ndup, neodup, neomerge, nmerge
 from sortnet.core import Connector, Network
 from sortnet.errors import DegeneratePair, IndexOutOfRange, WidthMismatch
-from sortnet.knuth import etake, otake
+from spec import etake, otake
 
 
 def test_cswap_links_exactly_one_pair():

@@ -1,5 +1,7 @@
 """Connector and network semantics against the plain min/max reference rule."""
 
+import ast
+import pathlib
 from collections import Counter
 
 import pytest
@@ -15,7 +17,7 @@ from conftest import (
 )
 from sortnet.bitonic import bsort, half_cleaner
 from sortnet.combinators import cswap
-from sortnet.core import Connector, Network, map_values
+from sortnet.core import Connector, Network
 from sortnet.errors import (
     DegeneratePair,
     DuplicateLine,
@@ -23,6 +25,7 @@ from sortnet.errors import (
     InvalidConnector,
     WidthMismatch,
 )
+from spec import map_values
 
 
 def minmax_rule(link, values, flip=None):
@@ -236,3 +239,39 @@ def test_package_root_exports_the_core_only():
     )
     for name in sortnet.__all__:
         assert getattr(sortnet, name).__name__ == name
+
+
+def test_every_public_definition_in_src_is_reachable():
+    # Test-only helpers belong in tests/spec.py.  A public top-level function
+    # or class must be reachable from the root's exports or ``cli.main``
+    # through names used in code; docstrings hold no names.
+    import sortnet
+
+    def used(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+            n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+        }
+
+    definitions = {}  # name -> module
+    uses = {}  # name -> names used in its body
+    todo = set(sortnet.__all__) | {"main"}
+    for path in sorted(pathlib.Path(sortnet.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                assert node.name not in definitions, node.name
+                definitions[node.name] = path.stem
+                uses[node.name] = used(node)
+            else:  # module-level code runs on import
+                todo |= used(node)
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name in definitions and name not in reached:
+            reached.add(name)
+            todo |= uses[name]
+    unreached = [
+        f"{module}.{name}"
+        for name, module in definitions.items()
+        if not name.startswith("_") and name not in reached
+    ]
+    assert unreached == []

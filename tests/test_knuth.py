@@ -6,17 +6,9 @@ from conftest import all_bool_tuples
 from sortnet.core import Connector, Network
 from sortnet.errors import Overflow, ZeroWidth
 from sortnet.index import pow2
-from sortnet.knuth import (
-    ceswap,
-    codd_jump,
-    count_false,
-    etake,
-    knuth_exchange,
-    knuth_jump_rec,
-    otake,
-    uphalf,
-)
-from sortnet.verify import check_sorting_exhaustive, is_sorted
+from sortnet.knuth import ceswap, codd_jump, knuth_exchange, knuth_jump_rec, uphalf
+from sortnet.verify import check_sorting_exhaustive
+from spec import count_false, etake, is_sorted, otake
 
 
 def slices_sorted(t):

@@ -12,18 +12,11 @@ from sortnet import verify
 from sortnet.batcher import batcher
 from sortnet.bitonic import bfsort, bsort
 from sortnet.combinators import cswap, nmerge
-from sortnet.core import Connector, Network, map_values
+from sortnet.core import Connector, Network
 from sortnet.errors import WidthTooLarge
 from sortnet.knuth import knuth_exchange
-from sortnet.verify import (
-    check_sorting_exhaustive,
-    check_sorting_oracle,
-    is_perm_of,
-    is_sorted,
-    network_stats,
-    random_connector,
-    random_network,
-)
+from sortnet.verify import check_sorting_exhaustive, check_sorting_oracle, network_stats
+from spec import is_perm_of, is_sorted, map_values, random_connector, random_network
 
 
 def scan_first_unsorted_input(network):
