@@ -34,6 +34,7 @@ from .verify import (
     _INT64_MAX,
     _INT64_MIN,
     VerificationReport,
+    _check_exhaustive_width,
     check_sorting_exhaustive,
     check_sorting_oracle,
     network_stats,
@@ -218,23 +219,31 @@ def render_svg(network: Network) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _generate(algorithm: str, m: int, flip: bool = False) -> Network:
+def _generate(
+    algorithm: str, m: int, flip: bool = False, exhaustive: bool = False
+) -> Network:
+    """Build a generator's network; with ``exhaustive``, refuse beforehand
+    a width the exhaustive check would refuse."""
     if m < 0:
         raise CliError("m must be nonnegative")
     if m > MAX_EXPONENT:
         raise CliError(f"m must be at most {MAX_EXPONENT}")
+    if algorithm not in GENERATOR_NAMES:
+        raise CliError(f"unknown algorithm {algorithm!r}")
+    if exhaustive:
+        _check_exhaustive_width(1 << m)
     if algorithm == "bsort":
         return bsort(m)
     if algorithm == "bfsort":
         return bfsort(flip, m)
     if algorithm == "knuth":
         return knuth_exchange(m)
-    if algorithm == "batcher":
-        return batcher(m)
-    raise CliError(f"unknown algorithm {algorithm!r}")
+    return batcher(m)
 
 
-def _resolve_network(source: list[str]) -> tuple[Network, int | None]:
+def _resolve_network(
+    source: list[str], exhaustive: bool = False
+) -> tuple[Network, int | None]:
     """Interpret positional arguments as either ``FILE`` or ``ALGO M``."""
     if len(source) == 2 and source[0] in GENERATOR_NAMES:
         algo, m_text = source
@@ -242,7 +251,7 @@ def _resolve_network(source: list[str]) -> tuple[Network, int | None]:
             m = int(m_text)
         except ValueError:
             raise CliError(f"m must be an integer, got {m_text!r}") from None
-        return _generate(algo, m), m
+        return _generate(algo, m, exhaustive=exhaustive), m
     if len(source) == 1:
         path = source[0]
         try:
@@ -294,7 +303,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    network, _ = _resolve_network(args.source)
+    network, _ = _resolve_network(args.source, exhaustive=args.oracle is None)
     if args.oracle is not None:
         if args.oracle < 0:
             raise CliError("TRIALS must be nonnegative")

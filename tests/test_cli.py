@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sortnet import cli
 from sortnet.batcher import batcher
 from sortnet.bitonic import bfsort, bsort
 from sortnet.cli import (
@@ -182,6 +183,26 @@ def test_verify_width_beyond_guard_is_usage_error(tmp_path, capsys):
     path.write_text("snet 1 25\n")
     assert main(["verify", str(path), "--exhaustive"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algo", ["bsort", "bfsort", "knuth", "batcher"])
+def test_verify_refuses_wide_generator_before_building(monkeypatch, capsys, algo):
+    # Building bsort(16) alone takes seconds; the guard must come first.
+    def refuse(*args):
+        raise AssertionError("generator called")
+
+    for name in ("bsort", "bfsort", "knuth_exchange", "batcher"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert main(["verify", algo, "5"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: width 32 exceeds exhaustive guard 24\n")
+    # The checks on M keep their precedence, and --oracle has no guard.
+    assert main(["verify", algo, "17"]) == 2
+    assert capsys.readouterr().err == "error: m must be at most 16\n"
+    assert main(["verify", algo, "-1"]) == 2
+    assert capsys.readouterr().err == "error: m must be nonnegative\n"
+    with pytest.raises(AssertionError, match="generator called"):
+        main(["verify", algo, "5", "--oracle", "0"])
 
 
 def test_verify_malformed_file(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Sorting-property deciders, cross-checked against a plain per-tuple scan."""
 
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -11,7 +12,7 @@ from conftest import networks_with_int_tuples
 from sortnet import verify
 from sortnet.batcher import batcher
 from sortnet.bitonic import bfsort, bsort
-from sortnet.combinators import cswap, nmerge
+from sortnet.combinators import cswap, neomerge, nmerge
 from sortnet.core import Connector, Network
 from sortnet.errors import WidthTooLarge
 from sortnet.knuth import knuth_exchange
@@ -35,7 +36,13 @@ def input_number(values):
 
 def assert_agrees_with_plain_scan(network):
     report = check_sorting_exhaustive(network)
-    first = scan_first_unsorted_input(network)
+    if network.width <= 10:
+        first = scan_first_unsorted_input(network)
+    else:  # the per-tuple scan is too slow here
+        number = whole_lane_first_failure(network)
+        first = None if number is None else tuple(
+            bool(number >> (network.width - 1 - i) & 1) for i in range(network.width)
+        )
     assert report.mode == "exhaustive"
     if first is None:
         assert report.is_sorting
@@ -89,6 +96,86 @@ def flip_mutants(network):
             layers = list(network.layers)
             layers[t] = Connector.from_pairs(network.width, changed)
             yield Network(network.width, tuple(layers))
+
+
+def generator_variants(m):
+    """The five generated networks on ``2**m`` lines; one sorts descending."""
+    return {
+        "bsort": bsort(m),
+        "bfsort": bfsort(False, m),
+        "bfsort-flip": bfsort(True, m),
+        "knuth": knuth_exchange(m),
+        "batcher": batcher(m),
+    }
+
+
+def padded(network, depth):
+    """``network`` followed by identity layers up to ``depth`` layers."""
+    extra = (Connector.identity(network.width),) * (depth - network.size)
+    return Network(network.width, network.layers + extra)
+
+
+def random_block(rng, width):
+    """A sorter either way round, a random network, or a block network."""
+    kind = rng.choice(["up", "down", "random", "blocks"][: 4 if width >= 3 else 3])
+    if kind == "random":
+        return random_network(width, rng.randint(0, 3), rng)
+    if kind == "blocks":
+        return random_block_network(rng, width)
+    sorter = odd_even_transposition(width)
+    if kind == "up":
+        return sorter
+    return Network(width, tuple(
+        Connector.from_pairs(width, [(i, j, True) for i, j, _ in layer.pairs()])
+        for layer in sorter.layers
+    ))
+
+
+def random_block_network(rng, width):
+    """Two blocks side by side (``nmerge``) or interleaved (``neomerge``),
+    then an empty, random or sorting suffix."""
+    if width >= 2 and width % 2 == 0 and rng.random() < 0.4:
+        a, b = random_block(rng, width // 2), random_block(rng, width // 2)
+        glue = neomerge
+    else:
+        left = rng.randint(0, width)
+        a, b = random_block(rng, left), random_block(rng, width - left)
+        glue = nmerge
+    depth = max(a.size, b.size)
+    prefix = glue(padded(a, depth), padded(b, depth))
+    suffix = rng.choice([
+        Network(width, ()),
+        random_network(width, rng.randint(1, 4), rng),
+        odd_even_transposition(width),
+    ])
+    return prefix + suffix
+
+
+def block_networks(seed):
+    rng = random.Random(seed)
+    return [random_block_network(rng, width) for width in range(11) for _ in range(8)]
+
+
+def reduction_paths(network):
+    """Which parts of the block reduction ``network`` takes."""
+    layers = [layer.pairs() for layer in network.layers]
+    cut, groups = verify._components(network.width, layers)
+    _, blocks = verify._sorting_blocks(network.width, layers)
+    paths = set()
+    if len(groups) < network.width == len(blocks):
+        paths.add("decline")
+    if len(blocks) < network.width:
+        paths.add("reduced")
+        if cut == network.size:
+            paths.add("empty suffix")
+        for lines, descending in blocks:
+            if descending and len(lines) > 1:
+                paths.add("descending block")
+            if len(lines) == 1:
+                paths.add("single-line block")
+            if lines[-1] - lines[0] >= len(lines):
+                paths.add("interleaved block")
+    return paths
 
 
 def sorts_all_permutations(network):
@@ -157,11 +244,67 @@ def test_exhaustive_matches_plain_scan_across_chunks(monkeypatch, chunk_bits):
     for width in range(10):
         for _ in range(4):
             assert_agrees_with_plain_scan(random_network(width, rng.randint(0, 2 * width), rng))
-    for make in (bsort, knuth_exchange, batcher):
-        for m in range(4):
-            assert_agrees_with_plain_scan(make(m))
-            for mutant in flip_mutants(make(m)):
+    for m in range(4):
+        for network in generator_variants(m).values():
+            assert_agrees_with_plain_scan(network)
+            for mutant in flip_mutants(network):
                 assert_agrees_with_plain_scan(mutant)
+    for network in block_networks(chunk_bits):
+        assert_agrees_with_plain_scan(network)
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_generators_and_flip_mutants_match_plain_scan(m):
+    sides = set()
+    for network in generator_variants(m).values():
+        assert_agrees_with_plain_scan(network)
+        layers = [layer.pairs() for layer in network.layers]
+        cut = verify._components(network.width, layers)[0]
+        for mutant in flip_mutants(network):
+            assert_agrees_with_plain_scan(mutant)
+            changed = [a != b for a, b in zip(network.layers, mutant.layers)]
+            sides.add("before cut" if changed.index(True) < cut else "after cut")
+    # From m = 2 on, the flips fall on both sides of the cut.
+    expected = [set(), {"after cut"}][m] if m < 2 else {"before cut", "after cut"}
+    assert sides == expected
+
+
+def test_block_networks_match_plain_scan():
+    paths = set()
+    for network in block_networks("default"):
+        assert_agrees_with_plain_scan(network)
+        paths |= reduction_paths(network)
+    assert paths == {
+        "decline", "reduced", "empty suffix", "descending block",
+        "single-line block", "interleaved block",
+    }
+
+
+def test_block_sorters_at_width_24_skip_the_plain_scan(monkeypatch):
+    # Every run of the lanes, by width and the number of elements it
+    # enumerates: at width 24 only the block product may run, never the
+    # 2**24 plain inputs.  No lane may outgrow a chunk.
+    runs = []
+    chunks, unsorted = verify._chunks, verify._unsorted
+
+    def counted(width, blocks, *rest):
+        runs.append((width, math.prod(len(lines) + 1 for lines, _ in blocks)))
+        return chunks(width, blocks, *rest)
+
+    def narrow(lanes, descending):
+        assert max(lanes, default=0).bit_length() <= 1 << verify._CHUNK_BITS
+        return unsorted(lanes, descending)
+
+    monkeypatch.setattr(verify, "_chunks", counted)
+    monkeypatch.setattr(verify, "_unsorted", narrow)
+    half = odd_even_transposition(12)
+    merged = nmerge(half, half) + odd_even_transposition(24)
+    for network, product in ((odd_even_transposition(24), 3**12), (merged, 13**2)):
+        runs.clear()
+        report = check_sorting_exhaustive(network)
+        assert report.is_sorting
+        assert report.inputs_checked == 2**24
+        assert [size for width, size in runs if width == 24] == [product]
 
 
 def test_exhaustive_matches_whole_lane_evaluator_at_width_18():
