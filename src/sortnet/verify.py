@@ -12,20 +12,27 @@ network after the longest prefix of layers whose comparators leave the
 lines in at least two connected components, its blocks.  Lines of
 different blocks never meet in the prefix, so the prefix's image of all
 ``2**w`` inputs is exactly the product of the blocks' images.  A block
-that sorts its ``c`` lines, ascending or descending (decided by this same
-check, recursively), has exactly the ``c + 1`` monotone vectors as its
-image, and each of them is its own preimage.  When every block sorts, the
-suffix therefore runs on that product only, ``(w/2 + 1)**2`` elements for
-two sorted halves instead of ``2**w`` inputs, and the network sorts
-exactly when every element comes out sorted.  This is the prefix
-output-set argument of Knuth, TAOCP vol. 3, §5.3.4.  A network with a
-block that does not sort runs on all its inputs.
+that sorts its ``c`` lines has exactly the ``c + 1`` monotone vectors as
+its image, and each of them is its own preimage.  A block that sorts
+descending sorts ascending with its lines read backwards, so every block
+is listed in the order it sorts ascending and decided by this same
+check, recursively.  One probe picks the order: a single True sent in
+on the block's first line leaves an ascending sorter on its last line
+and a descending one on its first, and on two or more lines both cannot
+hold, so only one direction needs checking.  When every block sorts,
+the suffix therefore runs on that product only, ``(w/2 + 1)**2``
+elements for two sorted halves instead of ``2**w`` inputs, and the
+network sorts exactly when every element comes out sorted.  This is the
+prefix output-set argument of Knuth, TAOCP vol. 3, §5.3.4.  A network
+with a block that does not sort runs on all its inputs.
 
-Elements are taken in lexicographic order, ``2**17`` of them at a time,
-so a chunk's lanes stay in cache; the leading blocks (or lines) are
-constant within a chunk.  A network found unsorted, on the product or
-not, is run on its plain inputs until the first chunk that leaves one
-unsorted.  Reported counterexamples are therefore always the
+The product runs in mixed-radix order, the first block most
+significant, at most ``2**17`` elements at a time, so a chunk's lanes
+stay in cache; the leading blocks are constant within a chunk.  With a
+single line for each block, element ``e`` is input number ``e`` and
+that order is lexicographic.  A network found unsorted, on the product
+or not, is run on its plain inputs until the first chunk that leaves
+one unsorted.  Reported counterexamples are therefore always the
 lexicographically first failing input, recomputed through the plain
 evaluator so they are independently reproducible.
 """
@@ -136,41 +143,34 @@ def _components(width: int, layers: list) -> tuple[int, list[list[int]]]:
     return cut, list(groups.values())
 
 
-def _single_lines(width: int) -> list:
-    return [([line], False) for line in range(width)]
-
-
 def _sorting_blocks(width: int, layers: list) -> tuple[int, list]:
-    """The cut of :func:`_components` and its blocks as ``(lines,
-    descending)``, each block a sorter in that direction; ``(0, single
-    lines)`` if some block does not sort."""
+    """The cut of :func:`_components` and its blocks, each listed in the
+    order its prefix sorts it ascending; ``(0, single lines)`` if some
+    block sorts neither way.  Identical blocks are decided once."""
     cut, groups = _components(width, layers)
-    blocks = []
+    # The probe of the module docstring, on every block at once (blocks
+    # never meet in the prefix): where a block's True stays on its first
+    # line, the block is read backwards, and where it then does not end
+    # on the block's last line, the block sorts neither way.
+    probe = [0] * width
     for lines in groups:
+        probe[lines[0]] = 1
+    _run(probe, layers[:cut])
+    blocks, sorts = [], {}
+    for lines in groups:
+        if probe[lines[0]]:
+            lines = lines[::-1]
         position = {line: p for p, line in enumerate(lines)}
-        sub = [
-            [(position[i], position[j], f) for i, j, f in pairs if i in position]
+        sub = tuple(
+            tuple((position[i], position[j], f) for i, j, f in pairs if i in position)
             for pairs in layers[:cut]
-        ]
-        descending = _direction(len(lines), sub)
-        if descending is None:
-            return 0, _single_lines(width)
-        blocks.append((lines, descending))
+        )
+        if sub not in sorts:
+            sorts[sub] = probe[lines[-1]] and _first_failure(len(lines), sub) is None
+        if not sorts[sub]:
+            return 0, [[line] for line in range(width)]
+        blocks.append(lines)
     return cut, blocks
-
-
-def _direction(width: int, layers: list) -> bool | None:
-    """False if ``layers`` sort ``width`` lines ascending, True if they
-    sort them descending, None if neither."""
-    if width < 2:
-        return False
-    cut, blocks = _sorting_blocks(width, layers)
-    ascending = descending = True
-    for _, (up, down) in _chunks(width, blocks, layers[cut:], (False, True)):
-        ascending, descending = ascending and not up, descending and not down
-        if not (ascending or descending):
-            return None
-    return not ascending
 
 
 def _repeat(pattern: int, period: int, count: int) -> int:
@@ -186,70 +186,73 @@ def _repeat(pattern: int, period: int, count: int) -> int:
         period <<= 1
 
 
-def _chunks(width: int, blocks: list, layers: list, directions=(False,)):
-    """Run ``layers`` on the product of the blocks' monotone outputs.
+def _run(lanes: list[int], layers: list) -> None:
+    """Run ``layers`` on ``lanes`` in place.  A comparator's first-named
+    line receives the minimum, or the maximum when it is flipped."""
+    for pairs in layers:
+        for i, j, flipped in pairs:
+            lo, hi = lanes[i] & lanes[j], lanes[i] | lanes[j]
+            lanes[i], lanes[j] = (hi, lo) if flipped else (lo, hi)
 
-    ``blocks`` partition the lines as ``(lines, descending)``.  Element
-    ``e`` of the product is ``e`` in mixed radix, the first block most
-    significant, digit ``d`` of a block on ``c`` lines running to ``c``;
-    it gives that block the monotone vector with ``d`` ones.  With single
-    lines for blocks, element ``e`` is input number ``e``.  Yields per
-    chunk, in order, its first element's number and, for each of the
-    ``directions`` (True for descending), the mask whose bit ``b`` is set
-    when element ``offset + b`` comes out unsorted that way.  A chunk
-    spans the trailing blocks whose radices multiply to at most
-    ``2**_CHUNK_BITS``; the leading blocks are constant within it.  Only
-    masks leave the generator, so one chunk's lanes live at a time.
+
+def _first_unsorted(width: int, blocks: list, layers: list) -> int | None:
+    """Number of the first element of the blocks' product that ``layers``
+    leave unsorted, or None.
+
+    ``blocks`` partition the lines, each listed in the order it sorts
+    ascending.  Element ``e`` of the product is ``e`` in mixed radix, the
+    first block most significant, digit ``d`` of a block on ``c`` lines
+    running to ``c``; it gives that block's last ``d`` lines a one.  A
+    chunk spans the trailing blocks whose radices multiply to at most
+    ``2**_CHUNK_BITS``; the leading blocks are constant within it, and
+    one chunk's lanes live at a time.
     """
-    # A block's output with d ones has them on its last d lines (first d
-    # when descending); pair each line with the least d that sets it.
-    least = [
-        [(line, p + 1 if descending else len(lines) - p)
-         for p, line in enumerate(lines)]
-        for lines, descending in blocks
-    ]
-    radices = [len(lines) + 1 for lines in least]
+    radices = [len(lines) + 1 for lines in blocks]
     split, size = len(blocks), 1
     while split and size * radices[split - 1] <= 1 << _CHUNK_BITS:
         split -= 1
         size *= radices[split]
     base = [0] * width
     period = size
-    for radix, lines in zip(radices[split:], least[split:]):
+    for radix, lines in zip(radices[split:], blocks[split:]):
         stride = period // radix
-        for line, d in lines:
-            run = ((1 << (radix - d) * stride) - 1) << d * stride
+        # The line ``d`` from the end is one from digit ``d`` on.
+        for d, line in enumerate(reversed(lines), 1):
+            run = (1 << period) - (1 << d * stride)
             base[line] = _repeat(run, period, size // period)
         period = stride
     ones = (1 << size) - 1
     digits = itertools.product(*map(range, radices[:split]))
     for number, chunk in enumerate(digits):
         lanes = base[:]
-        for lines, digit in zip(least, chunk):
-            for line, d in lines:
-                if digit >= d:
-                    lanes[line] = ones
-        for pairs in layers:
-            for i, j, flipped in pairs:
-                lo, hi = lanes[i] & lanes[j], lanes[i] | lanes[j]
-                lanes[i], lanes[j] = (hi, lo) if flipped else (lo, hi)
-        yield number * size, [_unsorted(lanes, d) for d in directions]
-
-
-def _unsorted(lanes: list[int], descending: bool) -> int:
-    """Bit ``b`` is set when element ``b`` of a chunk comes out unsorted."""
-    out = 0
-    for a, b in zip(lanes, lanes[1:]):
-        out |= b & ~a if descending else a & ~b
-    return out
-
-
-def _first_unsorted(width: int, blocks: list, layers: list) -> int | None:
-    """Number of the first product element ``layers`` leave unsorted."""
-    for offset, (unsorted,) in _chunks(width, blocks, layers):
+        for lines, digit in zip(blocks, chunk):
+            for line in lines[len(lines) - digit:]:
+                lanes[line] = ones
+        _run(lanes, layers)
+        unsorted = 0
+        for a, b in zip(lanes, lanes[1:]):
+            unsorted |= a & ~b
         if unsorted:
-            return offset + (unsorted & -unsorted).bit_length() - 1
+            return number * size + (unsorted & -unsorted).bit_length() - 1
     return None
+
+
+def _first_failure(width: int, layers: list) -> int | None:
+    """Number of the lexicographically first input that ``layers`` leave
+    unsorted on ``width`` lines, or None if they sort.
+
+    The suffix runs on the product of the prefix's blocks, each decided
+    by this same function.  If an element comes out unsorted, the plain
+    inputs are scanned from input 0, unless the blocks are single lines:
+    then that element is already the input sought.
+    """
+    if width < 2:
+        return None
+    cut, blocks = _sorting_blocks(width, layers)
+    first = _first_unsorted(width, blocks, layers[cut:])
+    if first is None or len(blocks) == width:
+        return first
+    return _first_unsorted(width, [[line] for line in range(width)], layers)
 
 
 def check_sorting_exhaustive(network: Network) -> VerificationReport:
@@ -268,21 +271,16 @@ def check_sorting_exhaustive(network: Network) -> VerificationReport:
     """
     width = network.width
     _check_exhaustive_width(width)
-    layers = [layer.pairs() for layer in network.layers]
-    cut, blocks = _sorting_blocks(width, layers)
-    # With single lines for blocks (a decline, or no prefix) the product
-    # is the plain inputs, so the scan below decides alone.
-    if len(blocks) == width or _first_unsorted(width, blocks, layers[cut:]) is not None:
-        first = _first_unsorted(width, _single_lines(width), layers)
-        if first is not None:
-            failing = _input_tuple(first, width)
-            return VerificationReport(
-                width=width,
-                inputs_checked=first + 1,
-                mode="exhaustive",
-                is_sorting=False,
-                counterexample=Counterexample(failing, network.apply(failing)),
-            )
+    first = _first_failure(width, [layer.pairs() for layer in network.layers])
+    if first is not None:
+        failing = _input_tuple(first, width)
+        return VerificationReport(
+            width=width,
+            inputs_checked=first + 1,
+            mode="exhaustive",
+            is_sorting=False,
+            counterexample=Counterexample(failing, network.apply(failing)),
+        )
     return VerificationReport(
         width=width,
         inputs_checked=1 << width,

@@ -168,12 +168,12 @@ def reduction_paths(network):
         paths.add("reduced")
         if cut == network.size:
             paths.add("empty suffix")
-        for lines, descending in blocks:
-            if descending and len(lines) > 1:
+        for lines in blocks:
+            if lines[0] > lines[-1]:
                 paths.add("descending block")
             if len(lines) == 1:
                 paths.add("single-line block")
-            if lines[-1] - lines[0] >= len(lines):
+            if abs(lines[-1] - lines[0]) >= len(lines):
                 paths.add("interleaved block")
     return paths
 
@@ -285,18 +285,18 @@ def test_block_sorters_at_width_24_skip_the_plain_scan(monkeypatch):
     # enumerates: at width 24 only the block product may run, never the
     # 2**24 plain inputs.  No lane may outgrow a chunk.
     runs = []
-    chunks, unsorted = verify._chunks, verify._unsorted
+    first_unsorted, run = verify._first_unsorted, verify._run
 
-    def counted(width, blocks, *rest):
-        runs.append((width, math.prod(len(lines) + 1 for lines, _ in blocks)))
-        return chunks(width, blocks, *rest)
+    def counted(width, blocks, layers):
+        runs.append((width, math.prod(len(lines) + 1 for lines in blocks)))
+        return first_unsorted(width, blocks, layers)
 
-    def narrow(lanes, descending):
+    def narrow(lanes, layers):
         assert max(lanes, default=0).bit_length() <= 1 << verify._CHUNK_BITS
-        return unsorted(lanes, descending)
+        run(lanes, layers)
 
-    monkeypatch.setattr(verify, "_chunks", counted)
-    monkeypatch.setattr(verify, "_unsorted", narrow)
+    monkeypatch.setattr(verify, "_first_unsorted", counted)
+    monkeypatch.setattr(verify, "_run", narrow)
     half = odd_even_transposition(12)
     merged = nmerge(half, half) + odd_even_transposition(24)
     for network, product in ((odd_even_transposition(24), 3**12), (merged, 13**2)):
@@ -305,6 +305,68 @@ def test_block_sorters_at_width_24_skip_the_plain_scan(monkeypatch):
         assert report.is_sorting
         assert report.inputs_checked == 2**24
         assert [size for width, size in runs if width == 24] == [product]
+
+
+@pytest.mark.parametrize("make", [bsort, knuth_exchange, batcher])
+def test_identical_blocks_are_decided_once(monkeypatch, make):
+    # ndup copies and neodup parity classes repeat a block, so each level
+    # below the whole network needs one decision.
+    widths = []
+    first_failure = verify._first_failure
+
+    def counted(width, layers):
+        widths.append(width)
+        return first_failure(width, layers)
+
+    monkeypatch.setattr(verify, "_first_failure", counted)
+    assert check_sorting_exhaustive(make(4)).is_sorting
+    assert widths[0] == 16
+    assert len([width for width in widths[1:] if width > 1]) <= 3
+
+
+def block_sub_network(layers, lines):
+    """The prefix ``layers`` restricted to ``lines``, renamed ``0..c-1``."""
+    position = {line: p for p, line in enumerate(lines)}
+    return Network(len(lines), tuple(
+        Connector.from_pairs(len(lines), [
+            (position[i], position[j], f) for i, j, f in pairs if i in position
+        ])
+        for pairs in layers
+    ))
+
+
+def test_blocks_are_read_backwards_exactly_when_they_sort_descending():
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(150):
+        c = rng.randint(2, 8)
+        a, b = random_block(rng, c), random_block(rng, c)
+        depth = max(a.size, b.size)
+        network = rng.choice([nmerge, neomerge])(padded(a, depth), padded(b, depth))
+        layers = [layer.pairs() for layer in network.layers]
+        cut, groups = verify._components(network.width, layers)
+        sorts = []
+        for lines in groups:
+            block = block_sub_network(layers[:cut], lines)
+            inputs = itertools.product((False, True), repeat=len(lines))
+            outputs = [block.apply(values) for values in inputs]
+            up = all(is_sorted(out) for out in outputs)
+            down = all(is_sorted(out, descending=True) for out in outputs)
+            sorts.append((lines, up, down))
+        got = verify._sorting_blocks(network.width, layers)
+        if all(up or down for _, up, down in sorts):
+            expected = [
+                lines[::-1] if down and not up else lines for lines, up, down in sorts
+            ]
+            assert got == (cut, expected)
+            seen |= {
+                "backwards" if down and not up else "forwards"
+                for lines, up, down in sorts if len(lines) > 1
+            }
+        else:
+            assert got == (0, [[line] for line in range(network.width)])
+            seen.add("decline")
+    assert seen == {"forwards", "backwards", "decline"}
 
 
 def test_exhaustive_matches_whole_lane_evaluator_at_width_18():
