@@ -222,14 +222,13 @@ def render_svg(network: Network) -> str:
 def _generate(
     algorithm: str, m: int, flip: bool = False, exhaustive: bool = False
 ) -> Network:
-    """Build a generator's network; with ``exhaustive``, refuse beforehand
-    a width the exhaustive check would refuse."""
+    """Build the network of ``algorithm``, one of ``GENERATOR_NAMES``;
+    with ``exhaustive``, refuse beforehand a width the exhaustive check
+    would refuse."""
     if m < 0:
         raise CliError("m must be nonnegative")
     if m > MAX_EXPONENT:
         raise CliError(f"m must be at most {MAX_EXPONENT}")
-    if algorithm not in GENERATOR_NAMES:
-        raise CliError(f"unknown algorithm {algorithm!r}")
     if exhaustive:
         _check_exhaustive_width(1 << m)
     if algorithm == "bsort":

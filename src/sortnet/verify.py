@@ -9,32 +9,38 @@ and a comparator is an AND/OR pair on two lanes.
 
 Most sorters need far fewer than ``2**w`` of those inputs.  Cut the
 network after the longest prefix of layers whose comparators leave the
-lines in at least two connected components, its blocks.  Lines of
-different blocks never meet in the prefix, so the prefix's image of all
-``2**w`` inputs is exactly the product of the blocks' images.  A block
-that sorts its ``c`` lines has exactly the ``c + 1`` monotone vectors as
-its image, and each of them is its own preimage.  A block that sorts
-descending sorts ascending with its lines read backwards, so every block
-is listed in the order it sorts ascending and decided by this same
-check, recursively.  One probe picks the order: a single True sent in
-on the block's first line leaves an ascending sorter on its last line
-and a descending one on its first, and on two or more lines both cannot
-hold, so only one direction needs checking.  When every block sorts,
-the suffix therefore runs on that product only, ``(w/2 + 1)**2``
-elements for two sorted halves instead of ``2**w`` inputs, and the
-network sorts exactly when every element comes out sorted.  This is the
-prefix output-set argument of Knuth, TAOCP vol. 3, §5.3.4.  A network
-with a block that does not sort runs on all its inputs.
+lines in at least two connected components, its blocks.  A block that
+sorts sends every input with ``d`` ones on its lines to the same output,
+and lines of different blocks never meet in the prefix, so inputs with
+the same count of ones on every block leave the network with the same
+output.  The smallest input of such a class, its *representative*, has
+each block's ones on that block's ``d`` highest-numbered lines.  The
+network sorts exactly when it sorts every representative, one for each
+element of the product of the blocks' counts (``(w/2 + 1)**2`` for two
+sorted halves instead of ``2**w`` inputs), and its lexicographically
+first failing input is the smallest failing representative.  This is
+the prefix output-set argument of Knuth, TAOCP vol. 3, §5.3.4.
+
+Whether a block sorts is decided by this same check, recursively.  A
+block that sorts descending sorts ascending with its lines read
+backwards, so it is decided listed that way.  One probe picks the
+order: a single True sent in on the block's first line leaves an
+ascending sorter on its last line and a descending one on its first,
+and on two or more lines both cannot hold, so only one direction needs
+checking.  A network with a block that sorts neither way takes single
+lines for blocks, whose representatives are its plain inputs.
 
 The product runs in mixed-radix order, the first block most
 significant, at most ``2**17`` elements at a time, so a chunk's lanes
-stay in cache; the leading blocks are constant within a chunk.  With a
-single line for each block, element ``e`` is input number ``e`` and
-that order is lexicographic.  A network found unsorted, on the product
-or not, is run on its plain inputs until the first chunk that leaves
-one unsorted.  Reported counterexamples are therefore always the
-lexicographically first failing input, recomputed through the plain
-evaluator so they are independently reproducible.
+stay in cache.  The whole network, prefix included, runs on a chunk's
+representatives, and one walk over the lines from line 0 picks the
+smallest that comes out unsorted.  The leading blocks are constant
+within a chunk, which fixes its smallest input, and a chunk whose
+smallest input lies above a failure already found is skipped.  With
+single-line blocks element ``e`` is input number ``e``, the order is
+lexicographic, and every chunk after the first failing one is skipped.
+Reported counterexamples are recomputed through the plain evaluator, so
+they are independently reproducible.
 """
 
 from __future__ import annotations
@@ -51,10 +57,9 @@ from .errors import WidthTooLarge
 #: memory does not grow with the width, so the guard bounds time.  At width
 #: 24 on one Xeon core, sorters whose blocks sort take milliseconds
 #: (odd-even transposition 8 ms, merge-exchange 1 ms), a sorter whose
-#: blocks do not sort scans every input in 0.2 s, and non-sorters pay the
-#: scan up to their first failure after the product: the 276 one-flip
-#: mutants of odd-even transposition took 87 ms in the median and 0.22 s
-#: at most, against 82 ms and 0.20 s for the scan alone.
+#: blocks do not sort scans every input in 0.2 s, and non-sorters whose
+#: blocks sort run the product only: the 276 one-flip mutants of odd-even
+#: transposition took 5 ms in the median and 7 to 15 ms at most.
 MAX_EXHAUSTIVE_WIDTH = 24
 
 # Inputs or product elements per chunk of the exhaustive check, as a
@@ -143,10 +148,9 @@ def _components(width: int, layers: list) -> tuple[int, list[list[int]]]:
     return cut, list(groups.values())
 
 
-def _sorting_blocks(width: int, layers: list) -> tuple[int, list]:
-    """The cut of :func:`_components` and its blocks, each listed in the
-    order its prefix sorts it ascending; ``(0, single lines)`` if some
-    block sorts neither way.  Identical blocks are decided once."""
+def _sorting_blocks(width: int, layers: list) -> list[list[int]]:
+    """The components of :func:`_components` if each sorts one way or the
+    other, or single lines.  Identical blocks are decided once."""
     cut, groups = _components(width, layers)
     # The probe of the module docstring, on every block at once (blocks
     # never meet in the prefix): where a block's True stays on its first
@@ -156,21 +160,19 @@ def _sorting_blocks(width: int, layers: list) -> tuple[int, list]:
     for lines in groups:
         probe[lines[0]] = 1
     _run(probe, layers[:cut])
-    blocks, sorts = [], {}
+    sorts = {}
     for lines in groups:
-        if probe[lines[0]]:
-            lines = lines[::-1]
-        position = {line: p for p, line in enumerate(lines)}
+        order = lines[::-1] if probe[lines[0]] else lines
+        position = {line: p for p, line in enumerate(order)}
         sub = tuple(
             tuple((position[i], position[j], f) for i, j, f in pairs if i in position)
             for pairs in layers[:cut]
         )
         if sub not in sorts:
-            sorts[sub] = probe[lines[-1]] and _first_failure(len(lines), sub) is None
+            sorts[sub] = probe[order[-1]] and _first_failure(len(order), sub) is None
         if not sorts[sub]:
-            return 0, [[line] for line in range(width)]
-        blocks.append(lines)
-    return cut, blocks
+            return [[line] for line in range(width)]
+    return groups
 
 
 def _repeat(pattern: int, period: int, count: int) -> int:
@@ -195,25 +197,29 @@ def _run(lanes: list[int], layers: list) -> None:
             lanes[i], lanes[j] = (hi, lo) if flipped else (lo, hi)
 
 
-def _first_unsorted(width: int, blocks: list, layers: list) -> int | None:
-    """Number of the first element of the blocks' product that ``layers``
-    leave unsorted, or None.
+def _first_failure(width: int, layers: list) -> int | None:
+    """Number of the lexicographically first input that ``layers`` leave
+    unsorted on ``width`` lines, or None if they sort.
 
-    ``blocks`` partition the lines, each listed in the order it sorts
-    ascending.  Element ``e`` of the product is ``e`` in mixed radix, the
-    first block most significant, digit ``d`` of a block on ``c`` lines
-    running to ``c``; it gives that block's last ``d`` lines a one.  A
+    The network runs on the representatives of the product of its
+    prefix's blocks, each block decided by this same function.  Element
+    ``e`` of the product is ``e`` in mixed radix, the first block most
+    significant, digit ``d`` of a block on ``c`` lines running to ``c``;
+    its representative gives that block's last ``d`` lines a one.  A
     chunk spans the trailing blocks whose radices multiply to at most
     ``2**_CHUNK_BITS``; the leading blocks are constant within it, and
-    one chunk's lanes live at a time.
+    one chunk's lanes live at a time.  A chunk whose smallest input lies
+    above a failure already found is skipped.
     """
+    if width < 2:
+        return None
+    blocks = _sorting_blocks(width, layers)
     radices = [len(lines) + 1 for lines in blocks]
     split, size = len(blocks), 1
     while split and size * radices[split - 1] <= 1 << _CHUNK_BITS:
         split -= 1
         size *= radices[split]
-    base = [0] * width
-    period = size
+    base, period = [0] * width, size
     for radix, lines in zip(radices[split:], blocks[split:]):
         stride = period // radix
         # The line ``d`` from the end is one from digit ``d`` on.
@@ -221,53 +227,44 @@ def _first_unsorted(width: int, blocks: list, layers: list) -> int | None:
             run = (1 << period) - (1 << d * stride)
             base[line] = _repeat(run, period, size // period)
         period = stride
-    ones = (1 << size) - 1
-    digits = itertools.product(*map(range, radices[:split]))
-    for number, chunk in enumerate(digits):
-        lanes = base[:]
+    # ``first`` starts above every input: nothing failed yet.
+    ones, first = (1 << size) - 1, 1 << width
+    for chunk in itertools.product(*map(range, radices[:split])):
+        inputs, smallest = base[:], 0
         for lines, digit in zip(blocks, chunk):
             for line in lines[len(lines) - digit:]:
-                lanes[line] = ones
+                inputs[line] = ones
+                smallest |= 1 << width - 1 - line
+        if smallest > first:
+            continue
+        lanes = inputs[:]
         _run(lanes, layers)
         unsorted = 0
         for a, b in zip(lanes, lanes[1:]):
             unsorted |= a & ~b
         if unsorted:
-            return number * size + (unsorted & -unsorted).bit_length() - 1
-    return None
-
-
-def _first_failure(width: int, layers: list) -> int | None:
-    """Number of the lexicographically first input that ``layers`` leave
-    unsorted on ``width`` lines, or None if they sort.
-
-    The suffix runs on the product of the prefix's blocks, each decided
-    by this same function.  If an element comes out unsorted, the plain
-    inputs are scanned from input 0, unless the blocks are single lines:
-    then that element is already the input sought.
-    """
-    if width < 2:
-        return None
-    cut, blocks = _sorting_blocks(width, layers)
-    first = _first_unsorted(width, blocks, layers[cut:])
-    if first is None or len(blocks) == width:
-        return first
-    return _first_unsorted(width, [[line] for line in range(width)], layers)
+            # The smallest unsorted representative, line 0 first: keep the
+            # elements with a zero on a line whenever some have one.
+            number = 0
+            for lane in inputs:
+                zeros = unsorted & ~lane
+                number = 2 * number + (not zeros)
+                unsorted = zeros or unsorted
+            first = min(first, number)
+    return first if first >> width == 0 else None
 
 
 def check_sorting_exhaustive(network: Network) -> VerificationReport:
     """Decide the sorting property over all ``2**width`` boolean inputs.
 
-    When the blocks of the network's prefix all sort, the suffix runs on
-    the product of their outputs, the prefix's exact image of all inputs
-    (see the module docstring).  Otherwise, and whenever that product
-    holds an unsorted element, the inputs themselves run in lexicographic
-    order (False orders before True), a chunk of consecutive ones at a
-    time, stopping after the first chunk that holds an unsorted input.
-    ``inputs_checked`` says how many inputs the verdict covers:
-    ``2**width`` on success, however few elements the product had, and on
-    failure the inputs up to and including the lexicographically first
-    unsorted one, which the report holds.
+    The network runs on one representative input for each element of the
+    product of its prefix's blocks, the plain inputs when a block does not
+    sort (see the module docstring), a chunk of at most
+    ``2**_CHUNK_BITS`` elements at a time.  ``inputs_checked`` says how
+    many inputs the verdict covers: ``2**width`` on success, however few
+    representatives ran, and on failure the inputs up to and including
+    the lexicographically first unsorted one (False orders before True),
+    which the report holds.
     """
     width = network.width
     _check_exhaustive_width(width)

@@ -142,6 +142,11 @@ def test_gen_rejects_unknown_algorithm(capsys):
     capsys.readouterr()
 
 
+def test_verify_rejects_unknown_algorithm(capsys):
+    assert main(["verify", "quicksort", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_verify_generated_network_exhaustive(capsys):
     assert main(["verify", "bsort", "4", "--exhaustive"]) == 0
     out = capsys.readouterr().out

@@ -156,11 +156,40 @@ def block_networks(seed):
     return [random_block_network(rng, width) for width in range(11) for _ in range(8)]
 
 
+def lane_network(width, layers):
+    """The network that ``layers`` are on the lanes: a comparator's
+    first-named line takes the minimum, or the maximum when flipped."""
+    return Network(width, tuple(
+        Connector.from_pairs(width, [
+            (i, j, f) if i < j else (j, i, not f) for i, j, f in pairs
+        ])
+        for pairs in layers
+    ))
+
+
+def block_sub_network(layers, lines):
+    """The prefix ``layers`` restricted to ``lines``, renamed ``0..c-1``
+    in the order listed."""
+    position = {line: p for p, line in enumerate(lines)}
+    return lane_network(len(lines), [
+        [(position[i], position[j], f) for i, j, f in pairs if i in position]
+        for pairs in layers
+    ])
+
+
+def sorts_per_tuple(network, descending=False):
+    """Whether ``network`` sorts every boolean tuple, by a plain scan."""
+    return all(
+        is_sorted(network.apply(values), descending=descending)
+        for values in itertools.product((False, True), repeat=network.width)
+    )
+
+
 def reduction_paths(network):
     """Which parts of the block reduction ``network`` takes."""
     layers = [layer.pairs() for layer in network.layers]
     cut, groups = verify._components(network.width, layers)
-    _, blocks = verify._sorting_blocks(network.width, layers)
+    blocks = verify._sorting_blocks(network.width, layers)
     paths = set()
     if len(groups) < network.width == len(blocks):
         paths.add("decline")
@@ -169,11 +198,11 @@ def reduction_paths(network):
         if cut == network.size:
             paths.add("empty suffix")
         for lines in blocks:
-            if lines[0] > lines[-1]:
-                paths.add("descending block")
             if len(lines) == 1:
                 paths.add("single-line block")
-            if abs(lines[-1] - lines[0]) >= len(lines):
+            elif sorts_per_tuple(block_sub_network(layers[:cut], lines), descending=True):
+                paths.add("descending block")
+            if lines[-1] - lines[0] >= len(lines):
                 paths.add("interleaved block")
     return paths
 
@@ -281,21 +310,22 @@ def test_block_networks_match_plain_scan():
 
 
 def test_block_sorters_at_width_24_skip_the_plain_scan(monkeypatch):
-    # Every run of the lanes, by width and the number of elements it
-    # enumerates: at width 24 only the block product may run, never the
+    # Every product of blocks the lanes enumerate, by width and number of
+    # elements: at width 24 only the block product may run, never the
     # 2**24 plain inputs.  No lane may outgrow a chunk.
     runs = []
-    first_unsorted, run = verify._first_unsorted, verify._run
+    sorting_blocks, run = verify._sorting_blocks, verify._run
 
-    def counted(width, blocks, layers):
+    def counted(width, layers):
+        blocks = sorting_blocks(width, layers)
         runs.append((width, math.prod(len(lines) + 1 for lines in blocks)))
-        return first_unsorted(width, blocks, layers)
+        return blocks
 
     def narrow(lanes, layers):
         assert max(lanes, default=0).bit_length() <= 1 << verify._CHUNK_BITS
         run(lanes, layers)
 
-    monkeypatch.setattr(verify, "_first_unsorted", counted)
+    monkeypatch.setattr(verify, "_sorting_blocks", counted)
     monkeypatch.setattr(verify, "_run", narrow)
     half = odd_even_transposition(12)
     merged = nmerge(half, half) + odd_even_transposition(24)
@@ -305,6 +335,38 @@ def test_block_sorters_at_width_24_skip_the_plain_scan(monkeypatch):
         assert report.is_sorting
         assert report.inputs_checked == 2**24
         assert [size for width, size in runs if width == 24] == [product]
+
+
+def test_non_sorter_whose_blocks_sort_fails_on_the_product_alone(monkeypatch):
+    # Flipping the first layer's last comparator leaves twelve two-line
+    # blocks that sort, {22, 23} descending.  The first failing input is
+    # the lone zero on line 22: the flip sends it to line 23, which no
+    # odd layer touches, and in the 22 layers left it cannot climb to
+    # line 0.  That input lies in the last of the 128 chunks of plain
+    # inputs; only the chunks of the 3**12 product may run.
+    sorter = odd_even_transposition(24)
+    first_layer = sorter.layers[0].pairs()[:-1] + [(22, 23, True)]
+    mutant = Network(24, (Connector.from_pairs(24, first_layer),) + sorter.layers[1:])
+    runs = []
+    run = verify._run
+
+    def counted(lanes, layers):
+        if len(lanes) == 24 and max(lanes).bit_length() > 1:  # not the probe
+            runs.append(len(layers))
+        run(lanes, layers)
+
+    monkeypatch.setattr(verify, "_run", counted)
+    report = check_sorting_exhaustive(mutant)
+    assert not report.is_sorting
+    assert report.counterexample.input == (True,) * 22 + (False, True)
+    assert report.inputs_checked == 2**24 - 2
+    assert mutant.apply(report.counterexample.input) == report.counterexample.output
+    assert not is_sorted(report.counterexample.output)
+    chunk = 1
+    while chunk * 3 <= 1 << verify._CHUNK_BITS:
+        chunk *= 3
+    assert 0 < len(runs) <= -(-(3**12) // chunk)
+    assert set(runs) == {mutant.size}  # the whole network, prefix included
 
 
 @pytest.mark.parametrize("make", [bsort, knuth_exchange, batcher])
@@ -324,18 +386,22 @@ def test_identical_blocks_are_decided_once(monkeypatch, make):
     assert len([width for width in widths[1:] if width > 1]) <= 3
 
 
-def block_sub_network(layers, lines):
-    """The prefix ``layers`` restricted to ``lines``, renamed ``0..c-1``."""
-    position = {line: p for p, line in enumerate(lines)}
-    return Network(len(lines), tuple(
-        Connector.from_pairs(len(lines), [
-            (position[i], position[j], f) for i, j, f in pairs if i in position
-        ])
-        for pairs in layers
-    ))
+def test_blocks_are_read_backwards_exactly_when_they_sort_descending(monkeypatch):
+    # The block sub-networks that _sorting_blocks hands to _first_failure,
+    # not those decided further down the recursion.
+    subs, active = [], []
+    first_failure = verify._first_failure
 
+    def captured(width, layers):
+        if not active:
+            subs.append(lane_network(width, layers))
+        active.append(width)
+        try:
+            return first_failure(width, layers)
+        finally:
+            active.pop()
 
-def test_blocks_are_read_backwards_exactly_when_they_sort_descending():
+    monkeypatch.setattr(verify, "_first_failure", captured)
     rng = random.Random(2024)
     seen = set()
     for _ in range(150):
@@ -348,23 +414,22 @@ def test_blocks_are_read_backwards_exactly_when_they_sort_descending():
         sorts = []
         for lines in groups:
             block = block_sub_network(layers[:cut], lines)
-            inputs = itertools.product((False, True), repeat=len(lines))
-            outputs = [block.apply(values) for values in inputs]
-            up = all(is_sorted(out) for out in outputs)
-            down = all(is_sorted(out, descending=True) for out in outputs)
-            sorts.append((lines, up, down))
-        got = verify._sorting_blocks(network.width, layers)
+            sorts.append((lines, sorts_per_tuple(block), sorts_per_tuple(block, True)))
+        subs.clear()
+        blocks = verify._sorting_blocks(network.width, layers)
         if all(up or down for _, up, down in sorts):
-            expected = [
-                lines[::-1] if down and not up else lines for lines, up, down in sorts
-            ]
-            assert got == (cut, expected)
+            assert blocks == groups
+            assert set(subs) == {
+                block_sub_network(layers[:cut], lines[::-1] if down and not up else lines)
+                for lines, up, down in sorts
+            }
+            assert all(sorts_per_tuple(sub) for sub in subs)
             seen |= {
                 "backwards" if down and not up else "forwards"
                 for lines, up, down in sorts if len(lines) > 1
             }
         else:
-            assert got == (0, [[line] for line in range(network.width)])
+            assert blocks == [[line] for line in range(network.width)]
             seen.add("decline")
     assert seen == {"forwards", "backwards", "decline"}
 
