@@ -11,6 +11,8 @@ two sorted halves, and that yields the full sorter.
 
 from __future__ import annotations
 
+from operator import not_
+
 from .combinators import ndup, nmerge
 from .core import Connector, Network
 from .index import pow2
@@ -22,7 +24,7 @@ def half_cleaner(half: int, flip: bool = False) -> Connector:
     All comparators carry the same orientation flag.
     """
     width = half + half
-    link = tuple(i + half if i < half else i - half for i in range(width))
+    link = tuple(range(half, width)) + tuple(range(half))
     return Connector(width, link, (flip,) * width)
 
 
@@ -31,7 +33,7 @@ def rhalf_cleaner(width: int) -> Connector:
 
     On odd widths the middle line stays unconnected.
     """
-    link = tuple(width - 1 - i for i in range(width))
+    link = tuple(range(width - 1, -1, -1))
     return Connector(width, link, (False,) * width)
 
 
@@ -85,6 +87,6 @@ def bfsort(flip: bool, m: int) -> Network:
     # Every bfsort layer connects all of its lines, so negating every flag
     # of the ``flip`` half gives exactly the ``not flip`` half.
     other = tuple(
-        Connector(c.width, c.link, tuple(not f for f in c.flip)) for c in half.layers
+        Connector(c.width, c.link, tuple(map(not_, c.flip))) for c in half.layers
     )
     return nmerge(half, Network(half.width, other)) + half_cleaner_rec(m, flip)

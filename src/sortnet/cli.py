@@ -56,13 +56,23 @@ class CliError(Exception):
 
 
 def render_text(network: Network) -> str:
-    """Serialize a network in the ``snet`` text format (trailing newline)."""
+    """Serialize a network in the ``snet`` text format (trailing newline).
+
+    Each line number is formatted once per call; a comparator token is
+    then two table lookups and one concatenation.
+    """
+    names = list(map(str, range(network.width)))
+    lows = [name + "-" for name in names]
+    marked = [name + "!" for name in names]
     lines = [f"snet 1 {network.width}"]
     for layer in network.layers:
-        tokens = ["layer:"]
-        for low, high, flipped in layer.pairs():
-            tokens.append(f"{low}-{high}{'!' if flipped else ''}")
-        lines.append(" ".join(tokens))
+        flip = layer.flip
+        tokens = [
+            lows[i] + (marked[j] if flip[i] else names[j])
+            for i, j in enumerate(layer.link)
+            if i < j
+        ]
+        lines.append(" ".join(["layer:", *tokens]))
     return "\n".join(lines) + "\n"
 
 

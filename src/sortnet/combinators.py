@@ -3,8 +3,13 @@
 Two gluing schemes recur in all the generators: placing two blocks side
 by side (``cmerge`` and friends) and interleaving two blocks onto the
 even and odd lines (``ceomerge`` and friends).  Both preserve the connector
-invariants by construction, and the constructor revalidates anyway.
+invariants by construction, and the constructor revalidates anyway, with
+one bulk check of the whole link map (see :class:`~sortnet.core.Connector`).
+The link maps are built with ``map``, ``range`` and slice assignment, so
+neither the gluing nor the check runs Python code per line.
 """
+
+from operator import add
 
 from .core import Connector, Network
 from .errors import SortnetError, WidthMismatch
@@ -24,7 +29,7 @@ def cmerge(c1: Connector, c2: Connector) -> Connector:
     m1 = c1.width
     return Connector(
         m1 + c2.width,
-        c1.link + tuple(m1 + j for j in c2.link),
+        c1.link + tuple(map(m1.__add__, c2.link)),
         c1.flip + c2.flip,
     )
 
@@ -60,8 +65,9 @@ def ceomerge(c1: Connector, c2: Connector) -> Connector:
         )
     width = c1.width + c2.width
     link = [0] * width
-    link[0::2] = [2 * j for j in c1.link]
-    link[1::2] = [2 * j + 1 for j in c2.link]
+    # Partner j of c1 becomes j + j, partner j of c2 becomes j + (1 + j).
+    link[0::2] = map(add, c1.link, c1.link)
+    link[1::2] = map(add, c2.link, map((1).__add__, c2.link))
     flip = [False] * width
     flip[0::2] = c1.flip
     flip[1::2] = c2.flip
@@ -69,11 +75,17 @@ def ceomerge(c1: Connector, c2: Connector) -> Connector:
 
 
 def neomerge(n1: Network, n2: Network) -> Network:
-    """Layerwise even/odd interleave of two equal-width networks."""
+    """Layerwise even/odd interleave of two networks of equal width and depth.
+
+    Operands of different depths raise :class:`SortnetError` naming both,
+    as in :func:`nmerge`.
+    """
     if n1.width != n2.width:
         raise WidthMismatch(
             f"cannot interleave widths {n1.width} and {n2.width}"
         )
+    if n1.size != n2.size:
+        raise SortnetError(f"cannot interleave depths {n1.size} and {n2.size}")
     layers = tuple(ceomerge(a, b) for a, b in zip(n1.layers, n2.layers))
     return Network(n1.width * 2, layers)
 

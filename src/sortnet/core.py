@@ -10,6 +10,7 @@ synchronization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence, TypeVar
 
 from .errors import (
@@ -40,7 +41,15 @@ class Connector:
     carry the same flag.
 
     There is no unchecked way to build one of these: the constructor
-    revalidates every invariant, so any reachable instance is sound.
+    revalidates every invariant, so any reachable instance is sound.  It
+    checks the whole map at once: with ``partner = itemgetter(*link)``, it
+    accepts when ``partner(link)`` is ``0, 1, ..., width - 1`` and
+    ``partner(flip)`` is ``flip``.  That also keeps every entry in range.
+    An entry of ``width`` or more fails to index.  A negative entry
+    ``j = link[k]`` would index from the end, so ``link[width + j] == k``,
+    and then ``link[link[width + j]] == j`` differs from ``width + j``.  A
+    map that fails the check goes through the per-line loop, which only
+    names the first fault.
     """
 
     width: int
@@ -58,6 +67,16 @@ class Connector:
             raise InvalidConnector(
                 f"flip has {len(self.flip)} entries for width {self.width}"
             )
+        # ``itemgetter`` of a single index returns a scalar, so widths 0
+        # and 1 go straight to the loop.
+        if self.width > 1:
+            partner = itemgetter(*self.link)
+            try:
+                involutive = partner(self.link) == tuple(range(self.width))
+                if involutive and partner(self.flip) == tuple(self.flip):
+                    return
+            except (IndexError, TypeError):
+                pass
         for i, j in enumerate(self.link):
             if not 0 <= j < self.width:
                 raise InvalidConnector(f"link[{i}] = {j} not in [0, {self.width})")

@@ -28,10 +28,11 @@ def ceswap(width: int) -> Connector:
     if width == 0:
         raise ZeroWidth("ceswap needs at least one line")
     # On an odd width the last line is even and has no successor: it stays put.
-    link = tuple(
-        i - 1 if i % 2 else min(i + 1, width - 1) for i in range(width)
-    )
-    return Connector(width, link, (False,) * width)
+    paired = width - width % 2
+    link = list(range(width))
+    link[0:paired:2] = range(1, paired, 2)
+    link[1:paired:2] = range(0, paired, 2)
+    return Connector(width, tuple(link), (False,) * width)
 
 
 def codd_jump(k: int, width: int) -> Connector:
@@ -49,12 +50,13 @@ def codd_jump(k: int, width: int) -> Connector:
         return Connector.identity(width)
     # A jump that would leave the range leaves the line unconnected: odd
     # ``i`` and even ``i + k`` pair up exactly when both are in range, so the
-    # map stays involutive.
-    link = tuple(
-        (i + k if i + k < width else i) if i % 2 else (i - k if i >= k else i)
-        for i in range(width)
-    )
-    return Connector(width, link, (False,) * width)
+    # map stays involutive.  The odd lines below ``width - k`` jump up by
+    # ``k``; the even lines from ``k + 1`` on jump down by ``k``.
+    below = max(width - k, 0)
+    link = list(range(width))
+    link[1:below:2] = range(1 + k, width, 2)
+    link[k + 1 :: 2] = range(1, below, 2)
+    return Connector(width, tuple(link), (False,) * width)
 
 
 def knuth_jump_rec(width: int, count: int, jump: int) -> Network:

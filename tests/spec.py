@@ -1,4 +1,5 @@
-"""The paper's specification predicates and the suite's random networks.
+"""The paper's specification predicates, the connector check one line at a
+time, and the suite's random networks.
 
 The paper proves its four constructions correct against these
 predicates: sortedness, permutation, bitonicity, the even/odd slices and
@@ -19,6 +20,7 @@ from itertools import groupby
 from typing import Callable, Sequence, TypeVar
 
 from sortnet.core import Connector, Network
+from sortnet.errors import InvalidConnector
 
 V = TypeVar("V")
 W = TypeVar("W")
@@ -137,3 +139,28 @@ def random_network(width: int, depth: int, rng: random.Random) -> Network:
     return Network(
         width, tuple(random_connector(width, rng) for _ in range(depth))
     )
+
+
+def check_connector_fields(width: int, link: Sequence, flip: Sequence) -> None:
+    """The connector invariants checked one line at a time.
+
+    Raises :class:`InvalidConnector` naming the first fault, with the
+    class and message that :class:`Connector` gives; returns None when the
+    fields form a connector.  ``Connector`` checks the whole map at once
+    and must accept exactly what this accepts.
+    """
+    if width < 0:
+        raise InvalidConnector(f"width must be nonnegative, got {width}")
+    if len(link) != width:
+        raise InvalidConnector(f"link has {len(link)} entries for width {width}")
+    if len(flip) != width:
+        raise InvalidConnector(f"flip has {len(flip)} entries for width {width}")
+    for i, j in enumerate(link):
+        if not 0 <= j < width:
+            raise InvalidConnector(f"link[{i}] = {j} not in [0, {width})")
+        if link[j] != i:
+            raise InvalidConnector(
+                f"link is not involutive at line {i}: {i} -> {j} -> {link[j]}"
+            )
+        if flip[j] != flip[i]:
+            raise InvalidConnector(f"flip differs across linked lines {i} and {j}")

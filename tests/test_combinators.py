@@ -5,10 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import all_bool_tuples, connectors, networks
-from sortnet.bitonic import half_cleaner
+from sortnet.bitonic import bsort, half_cleaner
 from sortnet.combinators import cmerge, ceomerge, cswap, ndup, neodup, neomerge, nmerge
 from sortnet.core import Connector, Network
-from sortnet.errors import DegeneratePair, IndexOutOfRange, WidthMismatch
+from sortnet.errors import DegeneratePair, IndexOutOfRange, SortnetError, WidthMismatch
 from spec import etake, otake
 
 
@@ -94,6 +94,15 @@ def test_ceomerge_preserves_parity(data):
     merged = ceomerge(c1, c2)
     for i, j in enumerate(merged.link):
         assert i % 2 == j % 2
+
+
+def test_neomerge_rejects_unequal_depths():
+    with pytest.raises(SortnetError, match="depths 3 and 0"):
+        neomerge(bsort(2), Network(4, ()))
+    with pytest.raises(SortnetError, match="depths 0 and 3"):
+        neomerge(Network(4, ()), bsort(2))
+    merged = neomerge(bsort(2), bsort(2))
+    assert (merged.width, merged.size) == (8, 3)
 
 
 def test_neodup_preserves_size():

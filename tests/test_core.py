@@ -5,7 +5,7 @@ import pathlib
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -25,7 +25,7 @@ from sortnet.errors import (
     InvalidConnector,
     WidthMismatch,
 )
-from spec import map_values
+from spec import check_connector_fields, map_values
 
 
 def minmax_rule(link, values, flip=None):
@@ -94,6 +94,56 @@ def test_raw_constructor_rejects_broken_fields():
         Connector(2, (1, 3), (False, False))  # link out of range
     with pytest.raises(InvalidConnector):
         Connector(-1, (), ())
+
+
+@st.composite
+def connector_fields(draw):
+    """Raw ``(width, link, flip)`` for widths 0..9: a valid connector, or a
+    random map, with up to three entries, flags or lengths then changed.
+    Entries are drawn from -12..12, so they can be negative or too large."""
+    width = draw(st.integers(0, 9))
+    base = draw(connectors(width=width))
+    link, flip = list(base.link), list(base.flip)
+    if draw(st.booleans()):
+        link = draw(st.lists(st.integers(-12, 12), min_size=width, max_size=width))
+    for _ in range(draw(st.integers(0, 3))):
+        change = draw(st.sampled_from(("entry", "flag", "link length", "flip length")))
+        if change == "entry" and link:
+            link[draw(st.integers(0, len(link) - 1))] = draw(st.integers(-12, 12))
+        elif change == "flag" and flip:
+            line = draw(st.integers(0, len(flip) - 1))
+            flip[line] = not flip[line]
+        elif change == "link length":
+            link = link[:-1] if draw(st.booleans()) else [*link, draw(st.integers(-12, 12))]
+        elif change == "flip length":
+            flip = flip[:-1] if draw(st.booleans()) else [*flip, draw(st.booleans())]
+    return width, tuple(link), tuple(flip)
+
+
+@settings(max_examples=500)
+@given(connector_fields())
+@example((3, (-1, 1, 0), (False,) * 3))  # a negative entry
+@example((3, (2, 1, -3), (False,) * 3))  # link[link[2]] == 2 under Python indexing
+@example((4, (1, 0, 4, 3), (False,) * 4))  # an entry equal to the width
+@example((1, (0,), (True,)))  # width 1 skips the bulk check
+@example((1, (1,), (False,)))
+@example((0, (), ()))
+@example((2, (1, 0), (True, False)))  # flags differ across a pair
+def test_connector_check_matches_the_per_line_oracle(fields):
+    try:
+        check_connector_fields(*fields)
+    except InvalidConnector as exc:
+        expected = exc
+    else:
+        expected = None
+    if expected is None:
+        connector = Connector(*fields)
+        assert (connector.width, connector.link, connector.flip) == fields
+    else:
+        with pytest.raises(InvalidConnector) as raised:
+            Connector(*fields)
+        assert type(raised.value) is type(expected)
+        assert str(raised.value) == str(expected)
 
 
 def test_identity_connector_passes_through():

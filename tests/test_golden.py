@@ -1,4 +1,4 @@
-"""Byte-identical ``render_text`` (m = 0..9) and ``render_svg`` (m = 0..7)
+"""Byte-identical ``render_text`` (m = 0..11) and ``render_svg`` (m = 0..7)
 output of every generator.
 
 The text digests pin the exact comparator layout of each construction, so
@@ -10,10 +10,12 @@ drawing's layout, including the sideways offsets of overlapping links.
 import hashlib
 
 import pytest
+from hypothesis import given, settings
 
+from conftest import networks
 from sortnet.batcher import batcher
 from sortnet.bitonic import bfsort, bsort
-from sortnet.cli import render_svg, render_text
+from sortnet.cli import parse_text, render_svg, render_text
 from sortnet.knuth import knuth_exchange
 
 GENERATORS = {
@@ -24,7 +26,8 @@ GENERATORS = {
     "batcher": batcher,
 }
 
-# sha256 of render_text(GENERATORS[name](m)) for m = 0, 1, ..., 9.
+# sha256 of render_text(GENERATORS[name](m)) for m = 0, 1, ..., 11, the sizes
+# that ``sortnet gen`` writes in the benchmark.
 DIGESTS = {
     "bsort": (
         "5fb60af9ae7ac0182f112c692ab867480dbdf879b780dc2bad811d4130aa4eef",
@@ -37,6 +40,8 @@ DIGESTS = {
         "93492c8c56de4f549ec01355e866fffe462296dbc5f3eeafacd6c9f1751a6da6",
         "ae55d112ce8bdea6471f7f26de57b0671f36a848e5610cf6d1b95dca0da5e8c2",
         "4e353e28f7d9c7d24cd39cbe632cc860d7948c39872c4dddbb76f2dc0c8290f3",
+        "47895b61d795bd8e5074bacc84bdc9cc91736bffcad1bd154abc03ed5a1b7d67",
+        "cfd17c188abcf3b2380cd979e06c0d8fe7966232724b549730930bf636e7a909",
     ),
     "bfsort": (
         "5fb60af9ae7ac0182f112c692ab867480dbdf879b780dc2bad811d4130aa4eef",
@@ -49,6 +54,8 @@ DIGESTS = {
         "1dd5b67650399b96332075b3061791f20061e4d957723c6e7f745f0926bdd77f",
         "cf8be09736940251dac265fc20a103c0eb1f31c81fabc109fec8b78cc58f7a58",
         "ee5397eb9e9cce1f4249a1d1e053abb538fd1622894a83d980748a2966d5d4d2",
+        "8aad5e69061c8a0223b2893a1eb244132f3795b3fe6b0d48aedf990df7b7f8d3",
+        "9e6a78af8e1e81a00cff59eba9b529d582de9248a37885e5c828b4ab1d174aee",
     ),
     "bfsort-flip": (
         "5fb60af9ae7ac0182f112c692ab867480dbdf879b780dc2bad811d4130aa4eef",
@@ -61,6 +68,8 @@ DIGESTS = {
         "98b6ae3a9764c876cbc8c2a5928c61a5a02973d2a660962a661f733a9875edf5",
         "3c6184cf366e9e821f640a317b0959df24f641ea1a5de0c068c32df63b186d64",
         "b0a61a0eb80585da902b44832faa69e654b384232499d9440872c45bf0e585da",
+        "8c2888143b112077ceb648f0f50a4524bf475ed64962211dc7d01bdb4530e360",
+        "877ffda661f8870d59900783be311fda7bcd71aa8d31313d5d64df7a85067463",
     ),
     "knuth": (
         "5fb60af9ae7ac0182f112c692ab867480dbdf879b780dc2bad811d4130aa4eef",
@@ -73,6 +82,8 @@ DIGESTS = {
         "f4ba9ed2e437f47a39211930befa6c0cbcb04760e5148f413bd7ec13dc65fbb5",
         "87adc0eed685588e1ddc2ad1844e33402c5174ba35858723aef2dc2d00b62758",
         "6e9474f52f7e9070ff8f54066530dfb45be79d6935cc7735843eec0d6a32f421",
+        "f035192475fe4527f75f12a1a197bbca6be2ea75cc98b0b9f7dd83a2d9cbd8df",
+        "eca56011ce1fe27b5c8654a1ab6b9fd98074f9c7a0cdc72ae4da01bdf6298e16",
     ),
     "batcher": (
         "5fb60af9ae7ac0182f112c692ab867480dbdf879b780dc2bad811d4130aa4eef",
@@ -85,6 +96,8 @@ DIGESTS = {
         "ee20b112ed03a590e855e42e81f516ad3948d8af5149b94c544385f8911d8bb8",
         "d47bcbfef3a8b59ec33569e901a97250a6e4d89a7df519bff6ddebe2cdb9a5a3",
         "ade929afba457b3d617868fea432273d1abab528bcb6c4bdab057866ad095b2c",
+        "b6754818f4fc17fc37d56ad389572da75bd6037f1393162804a58bca7333d2c7",
+        "f4aebe4cfdb03af409bdebe6172e5f1c3c800a89d5a10c305734f0919333f8c4",
     ),
 }
 
@@ -158,3 +171,24 @@ def test_render_svg_is_byte_identical(name):
     for m, expected in enumerate(SVG_DIGESTS[name]):
         svg = render_svg(build(m))
         assert hashlib.sha256(svg.encode()).hexdigest() == expected, (name, m)
+
+
+def render_tokens(network):
+    """The ``snet`` text built one comparator token at a time from ``pairs()``."""
+    lines = [f"snet 1 {network.width}"]
+    for layer in network.layers:
+        tokens = ["layer:"]
+        for low, high, flipped in layer.pairs():
+            tokens.append(f"{low}-{high}" + ("!" if flipped else ""))
+        lines.append(" ".join(tokens))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200)
+@given(networks(max_width=24, max_depth=6))
+def test_render_text_matches_a_token_by_token_renderer(net):
+    # Partial matchings leave lines unconnected; widths above 10 give
+    # two-digit line numbers on both ends of a comparator.
+    text = render_text(net)
+    assert text == render_tokens(net)
+    assert parse_text(text) == net
