@@ -9,9 +9,11 @@ Text format, one connector per line::
 The header carries a format version and the line count; each ``layer:``
 record lists its comparator pairs ascending by lower line, ``!`` marking
 a flipped (max-up) comparator.  Unconnected lines are implicit, so the
-format cannot express a broken link map.  Parsing validates every pair
-through the ordinary connector constructor and reports errors with the
-offending line number.
+format cannot express a broken link map.  Parsing decodes a record's line
+names by table lookup and builds its connector through the ordinary,
+checking constructor.  A record the tables do not decode is read again
+token by token, which only names the fault, with the offending line
+number.
 
 Commands: ``gen`` writes a generated network as text or SVG, ``verify``
 decides the sorting property (exit 0 sorting, 1 counterexample, 2 usage
@@ -23,6 +25,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import repeat
+from operator import contains
 
 from .batcher import batcher
 from .bitonic import bfsort, bsort
@@ -81,7 +85,9 @@ def parse_text(text: str) -> Network:
 
     Inverse of :func:`render_text` on its outputs.  Raises
     :class:`NetworkParseError` with a line number on any malformed
-    content; no partially built network ever escapes.
+    content; no partially built network ever escapes.  The name table
+    of :func:`_decode_layer` is built once per file, at its first
+    ``layer:`` record.
     """
     rows = text.splitlines()
     if not rows:
@@ -106,34 +112,83 @@ def parse_text(text: str) -> Network:
     if width > 1 << MAX_EXPONENT:
         raise NetworkParseError(1, f"width {width} exceeds 2**{MAX_EXPONENT}")
     layers = []
+    line_of = None
     for number, row in enumerate(rows[1:], start=2):
         if not row.strip():
             continue
         if not row.startswith("layer:"):
             raise NetworkParseError(number, f"expected 'layer:' record, got {row!r}")
-        pairs = []
-        for token in row[len("layer:") :].split():
-            flipped = token.endswith("!")
-            body = token[:-1] if flipped else token
-            low_text, dash, high_text = body.partition("-")
-            if (
-                not dash
-                or not body.isascii()
-                or not low_text.isdigit()
-                or not high_text.isdigit()
-            ):
-                raise NetworkParseError(number, f"bad comparator token {token!r}")
-            try:
-                pairs.append((int(low_text), int(high_text), flipped))
-            except ValueError:  # more digits than int() converts
-                raise NetworkParseError(
-                    number, "comparator index has too many digits"
-                ) from None
-        try:
-            layers.append(Connector.from_pairs(width, pairs))
-        except SortnetError as exc:
-            raise NetworkParseError(number, str(exc)) from exc
+        body = row[len("layer:") :]
+        if line_of is None:
+            lines = list(range(width))
+            line_of = dict(zip(map(str, lines), lines))
+        layer = _decode_layer(lines, line_of, body)
+        layers.append(layer or _parse_layer(width, number, body))
     return Network(width, tuple(layers))
+
+
+def _decode_layer(
+    lines: list[int], line_of: dict[str, int], body: str
+) -> Connector | None:
+    """The connector of a ``layer:`` record's ``body`` decoded by table, or
+    None when the record is not in the canonical form this decodes.
+
+    ``lines`` is ``list(range(width))`` and ``line_of`` maps ``str(i)`` to
+    ``i`` for each of them.  A record is accepted only when every token is
+    ``str(i)-str(j)`` or ``str(i)-str(j)!`` with ``i, j < width`` and all
+    its lines are distinct; :func:`_parse_layer` accepts such a record and
+    builds the same connector, and it handles every other record.
+    """
+    tokens = body.split()
+    flags = list(map(str.endswith, tokens, repeat("!")))
+    fields = body.replace("-", " ").replace("!", "").split()
+    # Exactly one dash in every token, with a name on each side of it, and
+    # a "!" only as the last character of a token.
+    if not (
+        len(fields) == 2 * len(tokens) == 2 * body.count("-")
+        and body.count("!") == sum(flags)
+        and all(map(contains, tokens, repeat("-")))
+    ):
+        return None
+    try:
+        lows = list(map(line_of.__getitem__, fields[0::2]))
+        highs = list(map(line_of.__getitem__, fields[1::2]))
+    except KeyError:
+        return None
+    if len(set(lows + highs)) != 2 * len(lows):
+        return None
+    link, flip = lines[:], [False] * len(lines)
+    for low, high, flipped in zip(lows, highs, flags):
+        link[low], link[high] = high, low
+        flip[low] = flip[high] = flipped
+    return Connector(len(lines), tuple(link), tuple(flip))
+
+
+def _parse_layer(width: int, number: int, body: str) -> Connector:
+    """The connector of a ``layer:`` record's ``body``, read token by token;
+    raises :class:`NetworkParseError` naming the first fault."""
+    pairs = []
+    for token in body.split():
+        flipped = token.endswith("!")
+        token_body = token[:-1] if flipped else token
+        low_text, dash, high_text = token_body.partition("-")
+        if (
+            not dash
+            or not token_body.isascii()
+            or not low_text.isdigit()
+            or not high_text.isdigit()
+        ):
+            raise NetworkParseError(number, f"bad comparator token {token!r}")
+        try:
+            pairs.append((int(low_text), int(high_text), flipped))
+        except ValueError:  # more digits than int() converts
+            raise NetworkParseError(
+                number, "comparator index has too many digits"
+            ) from None
+    try:
+        return Connector.from_pairs(width, pairs)
+    except SortnetError as exc:
+        raise NetworkParseError(number, str(exc)) from exc
 
 
 _SVG_MARGIN_X = 36

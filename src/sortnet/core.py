@@ -10,7 +10,8 @@ synchronization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import compress
+from operator import gt, itemgetter
 from typing import Iterable, Sequence, TypeVar
 
 from .errors import (
@@ -164,25 +165,17 @@ class Network:
     def apply(self, values: Sequence[V]) -> tuple[V, ...]:
         """Thread a tuple through every layer in order.
 
-        This is the one evaluator for ordered values.  Each layer's
-        comparators are disjoint, so they update one working list in
-        place.  A plain comparator leaves two equal values where they
-        are; a flipped one acts as the plain one followed by exchanging
-        its two lines.
+        This is the one evaluator for ordered values: the network is
+        compiled into its list of comparators and :func:`_evaluate` runs
+        them on one working list.  A plain comparator leaves two equal
+        values where they are; a flipped one acts as the plain one
+        followed by exchanging its two lines.
         """
         if len(values) != self.width:
             raise WidthMismatch(
                 f"tuple of length {len(values)} applied to width {self.width}"
             )
-        out = list(values)
-        for layer in self.layers:
-            flip = layer.flip
-            for i, j in enumerate(layer.link):
-                if i < j:
-                    a, b = out[i], out[j]
-                    if (a <= b) == flip[i]:
-                        out[i], out[j] = b, a
-        return tuple(out)
+        return tuple(_evaluate(_comparators(self), values))
 
     def __add__(self, other: "Network") -> "Network":
         if not isinstance(other, Network):
@@ -192,3 +185,34 @@ class Network:
                 f"cannot concatenate widths {self.width} and {other.width}"
             )
         return Network(self.width, self.layers + other.layers)
+
+
+def _comparators(network: Network) -> list[tuple[tuple, tuple, list]]:
+    """The comparators of ``network`` in evaluation order, for
+    :func:`_evaluate`: per layer its ``link`` and ``flip`` maps and the low
+    lines of its comparators, the ``x`` with ``link[x] > x``, ascending.
+
+    Compiling costs one C-level pass over each layer's lines; the
+    comparators' high lines and flags are read from the maps as they run.
+    """
+    lines = list(range(network.width))
+    return [
+        (layer.link, layer.flip, list(compress(lines, map(gt, layer.link, lines))))
+        for layer in network.layers
+    ]
+
+
+def _evaluate(
+    comparators: list[tuple[tuple, tuple, list]], values: Sequence[V]
+) -> list[V]:
+    """Run compiled ``comparators`` on ``values``: the low line receives
+    the minimum and the high line the maximum, or the other way round when
+    the comparator is flipped.  Two equal values swap only under a flip."""
+    out = list(values)
+    for link, flip, lows in comparators:
+        for i in lows:
+            j = link[i]
+            a, b = out[i], out[j]
+            if (a <= b) == flip[i]:
+                out[i], out[j] = b, a
+    return out

@@ -1,10 +1,13 @@
 """The paper's specification predicates, the connector check one line at a
-time, and the suite's random networks.
+time, the per-token parser, the per-tuple evaluator and sampled oracle,
+and the suite's random networks.
 
 The paper proves its four constructions correct against these
 predicates: sortedness, permutation, bitonicity, the even/odd slices and
 their false counts.  Here they state the same lemmas and serve as the
-test suite's oracle; the program itself never calls them.
+test suite's oracle; the program itself never calls them.  The parser,
+evaluator and oracle are the plain loops the program's table-decoded
+parser and compiled evaluator must agree with.
 
 ``random_network`` draws from its ``rng`` in a fixed order (per layer:
 shuffle, pair count, then one flip draw per pair).  Seeded tests depend
@@ -16,11 +19,20 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby, permutations
 from typing import Callable, Sequence, TypeVar
 
+from sortnet.cli import NetworkParseError
 from sortnet.core import Connector, Network
-from sortnet.errors import InvalidConnector
+from sortnet.errors import InvalidConnector, SortnetError
+from sortnet.index import MAX_EXPONENT
+from sortnet.verify import (
+    _INT64_MAX,
+    _INT64_MIN,
+    MAX_PERMUTATION_WIDTH,
+    Counterexample,
+    VerificationReport,
+)
 
 V = TypeVar("V")
 W = TypeVar("W")
@@ -164,3 +176,111 @@ def check_connector_fields(width: int, link: Sequence, flip: Sequence) -> None:
             )
         if flip[j] != flip[i]:
             raise InvalidConnector(f"flip differs across linked lines {i} and {j}")
+
+
+def parse_text_spec(text: str) -> Network:
+    """The ``snet`` text format read token by token, every comparator
+    through :meth:`Connector.from_pairs`; raises the
+    :class:`NetworkParseError` that ``parse_text`` must raise."""
+    rows = text.splitlines()
+    if not rows:
+        raise NetworkParseError(1, "empty file, expected header 'snet 1 <width>'")
+    header = rows[0].split()
+    if (
+        len(header) != 3
+        or header[0] != "snet"
+        or header[1] != "1"
+        or not header[2].isascii()
+        or not header[2].isdigit()
+    ):
+        raise NetworkParseError(
+            1, f"expected header 'snet 1 <width>', got {rows[0]!r}"
+        )
+    try:
+        width = int(header[2])
+    except ValueError:
+        raise NetworkParseError(1, "header width has too many digits") from None
+    if width > 1 << MAX_EXPONENT:
+        raise NetworkParseError(1, f"width {width} exceeds 2**{MAX_EXPONENT}")
+    layers = []
+    for number, row in enumerate(rows[1:], start=2):
+        if not row.strip():
+            continue
+        if not row.startswith("layer:"):
+            raise NetworkParseError(number, f"expected 'layer:' record, got {row!r}")
+        pairs = []
+        for token in row[len("layer:") :].split():
+            flipped = token.endswith("!")
+            body = token[:-1] if flipped else token
+            low_text, dash, high_text = body.partition("-")
+            if (
+                not dash
+                or not body.isascii()
+                or not low_text.isdigit()
+                or not high_text.isdigit()
+            ):
+                raise NetworkParseError(number, f"bad comparator token {token!r}")
+            try:
+                pairs.append((int(low_text), int(high_text), flipped))
+            except ValueError:
+                raise NetworkParseError(
+                    number, "comparator index has too many digits"
+                ) from None
+        try:
+            layers.append(Connector.from_pairs(width, pairs))
+        except SortnetError as exc:
+            raise NetworkParseError(number, str(exc)) from exc
+    return Network(width, tuple(layers))
+
+
+def apply_spec(network: Network, values: Sequence[V]) -> tuple[V, ...]:
+    """``network`` run on ``values`` layer by layer, visiting every line:
+    a comparator swaps its two values when ``(a <= b) == flip``."""
+    out = list(values)
+    for layer in network.layers:
+        for i, j in enumerate(layer.link):
+            if i < j:
+                a, b = out[i], out[j]
+                if (a <= b) == layer.flip[i]:
+                    out[i], out[j] = b, a
+    return tuple(out)
+
+
+def check_sorting_oracle_spec(
+    network: Network, trials: int, seed: int = 0
+) -> VerificationReport:
+    """The sampled oracle one tuple at a time through :func:`apply_spec`:
+    every permutation of ``range(width)`` when the width allows, then
+    ``trials`` seeded random signed 64-bit tuples, drawn in the order
+    ``check_sorting_oracle`` draws them."""
+    width = network.width
+    rng = random.Random(seed)
+    inputs = []
+    if width <= MAX_PERMUTATION_WIDTH:
+        inputs.append(permutations(range(width)))
+    inputs.append(
+        tuple(rng.randint(_INT64_MIN, _INT64_MAX) for _ in range(width))
+        for _ in range(trials)
+    )
+    checked = 0
+    for values in chain.from_iterable(inputs):
+        checked += 1
+        out = apply_spec(network, values)
+        if list(out) != sorted(values):
+            return VerificationReport(
+                width=width,
+                inputs_checked=checked,
+                mode="sampled",
+                is_sorting=False,
+                counterexample=Counterexample(tuple(values), out),
+                seed=seed,
+                trials=trials,
+            )
+    return VerificationReport(
+        width=width,
+        inputs_checked=checked,
+        mode="sampled",
+        is_sorting=True,
+        seed=seed,
+        trials=trials,
+    )

@@ -7,7 +7,7 @@ import sys
 import xml.etree.ElementTree as ET
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sortnet import cli
@@ -24,6 +24,7 @@ from sortnet.combinators import cswap
 from sortnet.core import Connector, Network
 from sortnet.knuth import knuth_exchange
 from sortnet.verify import network_stats
+from spec import parse_text_spec
 
 GENERATORS = {
     "bsort": bsort,
@@ -70,6 +71,95 @@ def test_parse_reports_line_numbers():
         parse_text("snet 1 4\nlayer: 0:1\n")
     with pytest.raises(NetworkParseError, match="line 2"):
         parse_text("snet 1 4\nconnector: 0-1\n")
+
+
+# Rows of a ``layer:`` record: line names with and without leading zeros,
+# dashes, marks and the separators ``str.split`` and ``str.splitlines``
+# treat specially, either loose or arranged as comparator tokens.
+_PARSE_ALPHABET = "0123456789-! \t\x1c\xa0\u00b2\u0663"
+_LINE_NAME = st.builds(
+    "{}{}".format, st.sampled_from(["", "", "", "0"]), st.integers(0, 13)
+)
+_PARSE_TOKEN = st.builds(
+    "{}{}".format,
+    st.lists(st.one_of(_LINE_NAME, st.just("")), min_size=1, max_size=3).map("-".join),
+    st.sampled_from(["", "", "!"]),
+)
+_PARSE_ROW = st.one_of(
+    st.text(_PARSE_ALPHABET, max_size=24),
+    st.lists(
+        st.tuples(
+            st.sampled_from([" ", " ", " ", "\t", "\xa0", "\x1c"]),
+            _PARSE_TOKEN,
+        ),
+        max_size=7,
+    ).map(lambda parts: "".join(sep + token for sep, token in parts)),
+)
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except NetworkParseError as exc:
+        return str(exc), exc.line_number
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 12), st.lists(_PARSE_ROW.map("layer:{}".format), max_size=4))
+@example(4, ["layer: 0-1-2 3"])
+@example(4, ["layer: 0!-1"])
+@example(4, ["layer: 1-0"])
+@example(4, ["layer: 0-1!!"])
+@example(4, ["layer: 00-1"])
+@example(4, ["layer:0-1"])
+@example(4, ["layer: 0- -1"])
+@example(4, ["layer: 2-2"])
+@example(4, ["layer: 0-1 1-2"])
+@example(4, ["layer: 0-1-2 3-"])
+@example(4, ["layer: 1 2-3-0"])
+@example(4, ["layer: 3-1! 0-2", "layer: 0-\u00b2"])
+def test_parse_text_matches_the_per_token_spec(width, rows):
+    # Same network on acceptance; same message and line number on
+    # rejection.  The last three examples have as many fields as a
+    # well-formed record but a token with two dashes.
+    text = "\n".join([f"snet 1 {width}", *rows]) + "\n"
+    assert _parse_outcome(parse_text, text) == _parse_outcome(parse_text_spec, text)
+
+
+_MALFORMED = {
+    "bad-header": (
+        b"snet 2 4\nlayer: 0-1\n",
+        "line 1: expected header 'snet 1 <width>', got 'snet 2 4'",
+    ),
+    "out-of-range": (b"snet 1 4\nlayer: 0-4\n", "line 2: line 4 not in [0, 4)"),
+    "reused-line": (
+        b"snet 1 4\nlayer: 0-1 1-2\n",
+        "line 2: line 1 appears in more than one pair",
+    ),
+    "self-pair": (b"snet 1 4\nlayer: 2-2\n", "line 2: pair links line 2 to itself"),
+    "superscript": (
+        "snet 1 4\nlayer: 0-\u00b2\n".encode(),
+        "line 2: bad comparator token '0-\u00b2'",
+    ),
+    "non-utf8": (
+        b"snet 1 4\nlayer: 0-1 \xff\xfe\n",
+        "{path}: not UTF-8 text (invalid start byte)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _MALFORMED)
+@pytest.mark.parametrize(
+    "command",
+    [["verify"], ["verify", "--oracle", "5"], ["apply", "--input=1,2,3,4"], ["stats"]],
+    ids=["verify", "oracle", "apply", "stats"],
+)
+def test_malformed_files_exit_2_naming_the_fault(tmp_path, name, command):
+    content, message = _MALFORMED[name]
+    path = tmp_path / f"{name}.snet"
+    path.write_bytes(content)
+    argv = [command[0], str(path), *command[1:]]
+    assert _run(argv) == (2, "", f"error: {message.format(path=path)}\n")
 
 
 def test_parse_accepts_blank_lines_and_header_width_zero():

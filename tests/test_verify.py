@@ -17,7 +17,14 @@ from sortnet.core import Connector, Network
 from sortnet.errors import WidthTooLarge
 from sortnet.knuth import knuth_exchange
 from sortnet.verify import check_sorting_exhaustive, check_sorting_oracle, network_stats
-from spec import is_perm_of, is_sorted, map_values, random_connector, random_network
+from spec import (
+    check_sorting_oracle_spec,
+    is_perm_of,
+    is_sorted,
+    map_values,
+    random_connector,
+    random_network,
+)
 
 
 def scan_first_unsorted_input(network):
@@ -508,6 +515,41 @@ def test_oracle_is_deterministic_per_seed():
     assert first == second
 
 
+def odd_even_transposition(width):
+    """A sorter on any width: ``width`` rounds of neighbour comparators."""
+    return Network(
+        width,
+        tuple(
+            Connector.from_pairs(width, [(i, i + 1) for i in range(s, width - 1, 2)])
+            for s in [0, 1] * ((width + 1) // 2)
+        ),
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_oracle_matches_the_per_tuple_oracle(seed):
+    # Widths up to 8 run every permutation before the random trials.
+    rng = random.Random(seed)
+    for width in range(11):
+        trials = rng.randint(0, 30)
+        for net in (
+            random_network(width, rng.randint(0, 8), rng),
+            odd_even_transposition(width),
+        ):
+            report = check_sorting_oracle(net, trials, seed)
+            assert report == check_sorting_oracle_spec(net, trials, seed)
+
+
+@pytest.mark.parametrize(
+    "net",
+    [bsort(3), bfsort(False, 3), bfsort(True, 3), knuth_exchange(3), batcher(3)],
+    ids=["bsort", "bfsort", "bfsort-flip", "knuth", "batcher"],
+)
+def test_oracle_matches_the_per_tuple_oracle_on_generators(net):
+    report = check_sorting_oracle(net, 30, 11)
+    assert report == check_sorting_oracle_spec(net, 30, 11)
+
+
 def test_zero_one_principle_on_random_networks():
     # Boolean exhaustive verdict must equal the all-permutations verdict.
     rng = random.Random(99)
@@ -550,6 +592,11 @@ def test_network_stats_examples():
     empty = network_stats(Network(5, ()))
     assert empty.layers == 0
     assert empty.comparators == 0
+    rng = random.Random(4)
+    for width in range(10):
+        net = random_network(width, 4, rng)
+        pairs = sum(len(layer.pairs()) for layer in net.layers)
+        assert network_stats(net).comparators == pairs
 
 
 def test_random_connector_is_valid_and_varied():
