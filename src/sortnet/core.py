@@ -5,11 +5,16 @@ fixed number of lines, a network is an ordered sequence of such layers,
 and application threads a tuple of values through the comparators.  All
 three are immutable; sharing them across threads or processes needs no
 synchronization.
+
+These records and the checkers' results in :mod:`.verify` are immutable
+slotted value classes that compare, hash and print by their fields.  They
+are not dataclasses, which keeps importing the package cheap, so
+``dataclasses.replace``, ``fields`` and ``asdict`` do not apply.  Pickling
+and copying rebuild a record through its constructor and its check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from operator import gt, itemgetter
 from typing import Iterable, Sequence, TypeVar
@@ -29,8 +34,36 @@ V = TypeVar("V")
 PairSpec = "tuple[int, int] | tuple[int, int, bool]"
 
 
-@dataclass(frozen=True)
-class Connector:
+class _Record:
+    """Base of the record types: repr, immutability, and pickling and
+    copying through the constructor.
+
+    A subclass names its fields in ``__slots__``, stores them in
+    ``__init__`` with ``object.__setattr__`` and spells out ``__eq__`` and
+    ``__hash__`` on its field tuple: a generic getter such as
+    ``operator.attrgetter`` made them up to twice as slow.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self.__slots__, self._values())
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Connector(_Record):
     """One parallel layer of disjoint comparators over ``width`` lines.
 
     ``link[i]`` names the partner of line ``i``; ``link[i] == i`` leaves the
@@ -53,11 +86,12 @@ class Connector:
     names the first fault.
     """
 
-    width: int
-    link: tuple[int, ...]
-    flip: tuple[bool, ...]
+    __slots__ = __match_args__ = ("width", "link", "flip")
 
-    def __post_init__(self):
+    def __init__(self, width: int, link: tuple[int, ...], flip: tuple[bool, ...]):
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "link", link)
+        object.__setattr__(self, "flip", flip)
         if self.width < 0:
             raise InvalidConnector(f"width must be nonnegative, got {self.width}")
         if len(self.link) != self.width:
@@ -89,6 +123,16 @@ class Connector:
                 raise InvalidConnector(
                     f"flip differs across linked lines {i} and {j}"
                 )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.width, self.link, self.flip) == (
+                other.width, other.link, other.flip
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.width, self.link, self.flip))
 
     @classmethod
     def from_pairs(cls, width: int, pairs: Iterable[PairSpec]) -> "Connector":
@@ -141,14 +185,14 @@ class Connector:
         return Network(self.width, (self,)).apply(values)
 
 
-@dataclass(frozen=True)
-class Network:
+class Network(_Record):
     """An ordered sequence of connectors over a fixed number of lines."""
 
-    width: int
-    layers: tuple[Connector, ...]
+    __slots__ = __match_args__ = ("width", "layers")
 
-    def __post_init__(self):
+    def __init__(self, width: int, layers: tuple[Connector, ...]):
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "layers", layers)
         if self.width < 0:
             raise WidthMismatch(f"width must be nonnegative, got {self.width}")
         for pos, layer in enumerate(self.layers):
@@ -156,6 +200,14 @@ class Network:
                 raise WidthMismatch(
                     f"layer {pos} has width {layer.width}, network has {self.width}"
                 )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.width, self.layers) == (other.width, other.layers)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.width, self.layers))
 
     @property
     def size(self) -> int:

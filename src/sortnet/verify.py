@@ -51,10 +51,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from operator import lt
 
-from .core import Network, _comparators, _evaluate
+from .core import Network, _Record, _comparators, _evaluate
 from .errors import WidthTooLarge
 
 #: Exhaustive enumeration guard: 2**24 boolean inputs is the most this
@@ -80,16 +79,25 @@ _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(_Record):
     """An input the network fails to sort, with the output it produced."""
 
-    input: tuple
-    output: tuple
+    __slots__ = __match_args__ = ("input", "output")
+
+    def __init__(self, input: tuple, output: tuple):
+        object.__setattr__(self, "input", input)
+        object.__setattr__(self, "output", output)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.input, self.output) == (other.input, other.output)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.input, self.output))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     """Outcome of a sorting check.
 
     ``mode`` is ``"exhaustive"`` (all boolean inputs in lexicographic
@@ -98,21 +106,58 @@ class VerificationReport:
     On failure ``counterexample`` holds the first offending input.
     """
 
-    width: int
-    inputs_checked: int
-    mode: str
-    is_sorting: bool
-    counterexample: Counterexample | None = None
-    seed: int | None = None
-    trials: int | None = None
+    __slots__ = __match_args__ = (
+        "width", "inputs_checked", "mode", "is_sorting",
+        "counterexample", "seed", "trials",
+    )
+
+    def __init__(
+        self, width: int, inputs_checked: int, mode: str, is_sorting: bool,
+        counterexample: Counterexample | None = None,
+        seed: int | None = None, trials: int | None = None,
+    ):
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "inputs_checked", inputs_checked)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "is_sorting", is_sorting)
+        object.__setattr__(self, "counterexample", counterexample)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "trials", trials)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (
+                self.width, self.inputs_checked, self.mode, self.is_sorting,
+                self.counterexample, self.seed, self.trials,
+            ) == (
+                other.width, other.inputs_checked, other.mode, other.is_sorting,
+                other.counterexample, other.seed, other.trials,
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((
+            self.width, self.inputs_checked, self.mode, self.is_sorting,
+            self.counterexample, self.seed, self.trials,
+        ))
 
 
-@dataclass(frozen=True)
-class NetworkStats:
+class NetworkStats(_Record):
     """Layer and comparator counts of a network."""
 
-    layers: int
-    comparators: int
+    __slots__ = __match_args__ = ("layers", "comparators")
+
+    def __init__(self, layers: int, comparators: int):
+        object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "comparators", comparators)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.layers, self.comparators) == (other.layers, other.comparators)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.layers, self.comparators))
 
 
 def _input_tuple(number: int, width: int) -> tuple[bool, ...]:
@@ -303,21 +348,24 @@ def check_sorting_oracle(
     """
     width = network.width
     rng = random.Random(seed)
-    inputs = []
-    if width <= MAX_PERMUTATION_WIDTH:
-        inputs.append(itertools.permutations(range(width)))
-    inputs.append(
+    randoms = (
         tuple(rng.randint(_INT64_MIN, _INT64_MAX) for _ in range(width))
         for _ in range(trials)
     )
+    cases = ((values, sorted(values)) for values in randoms)
+    if width <= MAX_PERMUTATION_WIDTH:
+        # Every permutation of ``range(width)`` sorts to ``range(width)``.
+        ordered = list(range(width))
+        permutations = itertools.permutations(ordered)
+        cases = itertools.chain(zip(permutations, itertools.repeat(ordered)), cases)
     comparators = _comparators(network)
     checked = 0
-    for values in itertools.chain.from_iterable(inputs):
+    for values, expected in cases:
         checked += 1
         out = _evaluate(comparators, values)
         # The inputs are integers, so this one comparison means "a sorted
         # permutation of the input".
-        if out != sorted(values):
+        if out != expected:
             return VerificationReport(
                 width=width,
                 inputs_checked=checked,

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -513,3 +514,22 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0
     assert result.stdout == "snet 1 2\nlayer: 0-1\n"
+
+
+def test_importing_the_cli_loads_no_introspection_modules():
+    # Compared before and after the import, so modules that ``site``
+    # already loaded do not count.
+    probe = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "before = set(sys.modules)\n"
+        "import sortnet.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", probe, src], capture_output=True, text=True, check=True
+    )
+    loaded = set(result.stdout.split())
+    assert "sortnet.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
