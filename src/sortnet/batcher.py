@@ -17,26 +17,18 @@ def batcher_merge(width: int) -> Connector:
     return codd_jump(1, width)
 
 
-def batcher_merge_rec_aux(level: int) -> Network:
-    """Merge network on ``2 ** (level + 1)`` lines with both halves sorted.
-
-    Base level compares the two lines outright; above that, two
-    interleaved copies handle the even and odd slices and one merge layer
-    finishes.
-    """
-    width = pow2(level + 1)
-    if level == 0:
-        return Network(2, (cswap(0, 1, 2),))
-    inner = neodup(batcher_merge_rec_aux(level - 1))
-    return inner + Network(width, (batcher_merge(width),))
-
-
 def batcher_merge_rec(m: int) -> Network:
-    """Merge network on ``2**m`` lines (empty at ``m = 0``); ``m`` layers."""
-    pow2(m)
-    if m == 0:
-        return Network(1, ())
-    return batcher_merge_rec_aux(m - 1)
+    """Merge network on ``2**m`` lines whose two halves are sorted; ``m``
+    layers, empty at ``m = 0``.
+
+    At ``m = 1`` it compares the two lines outright; above that, two
+    interleaved copies of the merge network one level down handle the even
+    and odd slices and one merge layer finishes.
+    """
+    width = pow2(m)
+    if m < 2:
+        return Network(width, (cswap(0, 1, 2),) * m)
+    return neodup(batcher_merge_rec(m - 1)) + Network(width, (batcher_merge(width),))
 
 
 def batcher(m: int) -> Network:

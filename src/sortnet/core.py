@@ -16,7 +16,7 @@ and copying rebuild a record through its constructor and its check.
 from __future__ import annotations
 
 from itertools import compress
-from operator import gt, itemgetter
+from operator import attrgetter, gt, itemgetter
 from typing import Iterable, Sequence, TypeVar
 
 from .errors import (
@@ -35,22 +35,30 @@ PairSpec = "tuple[int, int] | tuple[int, int, bool]"
 
 
 class _Record:
-    """Base of the record types: repr, immutability, and pickling and
-    copying through the constructor.
+    """Base of the record types: equality, hash, repr, immutability, and
+    pickling and copying through the constructor.
 
-    A subclass names its fields in ``__slots__``, stores them in
-    ``__init__`` with ``object.__setattr__`` and spells out ``__eq__`` and
-    ``__hash__`` on its field tuple: a generic getter such as
-    ``operator.attrgetter`` made them up to twice as slow.
+    A subclass names its fields, two or more, in ``__slots__`` and stores
+    them in ``__init__`` with ``object.__setattr__``.  Everything else
+    reads them through ``_values``, one getter built from ``__slots__``:
+    records of one class compare and hash as their field tuples.
     """
 
     __slots__ = ()
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+    def __init_subclass__(cls):
+        cls._values = property(attrgetter(*cls.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
 
     def __repr__(self):
-        fields = map("{}={!r}".format, self.__slots__, self._values())
+        fields = map("{}={!r}".format, self.__slots__, self._values)
         return f"{type(self).__qualname__}({', '.join(fields)})"
 
     def __setattr__(self, name, value):
@@ -60,7 +68,7 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), self._values
 
 
 class Connector(_Record):
@@ -123,16 +131,6 @@ class Connector(_Record):
                 raise InvalidConnector(
                     f"flip differs across linked lines {i} and {j}"
                 )
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.width, self.link, self.flip) == (
-                other.width, other.link, other.flip
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.width, self.link, self.flip))
 
     @classmethod
     def from_pairs(cls, width: int, pairs: Iterable[PairSpec]) -> "Connector":
@@ -200,14 +198,6 @@ class Network(_Record):
                 raise WidthMismatch(
                     f"layer {pos} has width {layer.width}, network has {self.width}"
                 )
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.width, self.layers) == (other.width, other.layers)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.width, self.layers))
 
     @property
     def size(self) -> int:

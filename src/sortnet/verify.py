@@ -28,7 +28,10 @@ order: a single True sent in on the block's first line leaves an
 ascending sorter on its last line and a descending one on its first,
 and on two or more lines both cannot hold, so only one direction needs
 checking.  A network with a block that sorts neither way takes single
-lines for blocks, whose representatives are its plain inputs.
+lines for blocks, whose representatives are its plain inputs.  One
+check decides identical blocks once, at whatever level they recur: a
+block's comparators touch every one of its lines, so its sub-network
+fixes its width and has one verdict.
 
 The product runs in mixed-radix order, the first block most
 significant, at most ``2**17`` elements at a time, so a chunk's lanes
@@ -88,14 +91,6 @@ class Counterexample(_Record):
         object.__setattr__(self, "input", input)
         object.__setattr__(self, "output", output)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.input, self.output) == (other.input, other.output)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.input, self.output))
-
 
 class VerificationReport(_Record):
     """Outcome of a sorting check.
@@ -124,23 +119,6 @@ class VerificationReport(_Record):
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "trials", trials)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (
-                self.width, self.inputs_checked, self.mode, self.is_sorting,
-                self.counterexample, self.seed, self.trials,
-            ) == (
-                other.width, other.inputs_checked, other.mode, other.is_sorting,
-                other.counterexample, other.seed, other.trials,
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((
-            self.width, self.inputs_checked, self.mode, self.is_sorting,
-            self.counterexample, self.seed, self.trials,
-        ))
-
 
 class NetworkStats(_Record):
     """Layer and comparator counts of a network."""
@@ -150,14 +128,6 @@ class NetworkStats(_Record):
     def __init__(self, layers: int, comparators: int):
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "comparators", comparators)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.layers, self.comparators) == (other.layers, other.comparators)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.layers, self.comparators))
 
 
 def _input_tuple(number: int, width: int) -> tuple[bool, ...]:
@@ -198,9 +168,10 @@ def _components(width: int, layers: list) -> tuple[int, list[list[int]]]:
     return cut, list(groups.values())
 
 
-def _sorting_blocks(width: int, layers: list) -> list[list[int]]:
+def _sorting_blocks(width: int, layers: list, sorts: dict) -> list[list[int]]:
     """The components of :func:`_components` if each sorts one way or the
-    other, or single lines.  Identical blocks are decided once."""
+    other, or single lines.  ``sorts`` holds the check's block verdicts,
+    keyed by the block sub-network as it is read."""
     cut, groups = _components(width, layers)
     # The probe of the module docstring, on every block at once (blocks
     # never meet in the prefix): where a block's True stays on its first
@@ -210,7 +181,6 @@ def _sorting_blocks(width: int, layers: list) -> list[list[int]]:
     for lines in groups:
         probe[lines[0]] = 1
     _run(probe, layers[:cut])
-    sorts = {}
     for lines in groups:
         order = lines[::-1] if probe[lines[0]] else lines
         position = {line: p for p, line in enumerate(order)}
@@ -219,7 +189,9 @@ def _sorting_blocks(width: int, layers: list) -> list[list[int]]:
             for pairs in layers[:cut]
         )
         if sub not in sorts:
-            sorts[sub] = probe[order[-1]] and _first_failure(len(order), sub) is None
+            sorts[sub] = (
+                probe[order[-1]] and _first_failure(len(order), sub, sorts) is None
+            )
         if not sorts[sub]:
             return [[line] for line in range(width)]
     return groups
@@ -247,23 +219,23 @@ def _run(lanes: list[int], layers: list) -> None:
             lanes[i], lanes[j] = (hi, lo) if flipped else (lo, hi)
 
 
-def _first_failure(width: int, layers: list) -> int | None:
+def _first_failure(width: int, layers: list, sorts: dict) -> int | None:
     """Number of the lexicographically first input that ``layers`` leave
     unsorted on ``width`` lines, or None if they sort.
 
     The network runs on the representatives of the product of its
-    prefix's blocks, each block decided by this same function.  Element
-    ``e`` of the product is ``e`` in mixed radix, the first block most
-    significant, digit ``d`` of a block on ``c`` lines running to ``c``;
-    its representative gives that block's last ``d`` lines a one.  A
-    chunk spans the trailing blocks whose radices multiply to at most
-    ``2**_CHUNK_BITS``; the leading blocks are constant within it, and
-    one chunk's lanes live at a time.  A chunk whose smallest input lies
-    above a failure already found is skipped.
+    prefix's blocks, each block decided by this same function unless
+    ``sorts`` holds its verdict.  Element ``e`` of the product is ``e`` in
+    mixed radix, the first block most significant, digit ``d`` of a block
+    on ``c`` lines running to ``c``; its representative gives that block's
+    last ``d`` lines a one.  A chunk spans the trailing blocks whose
+    radices multiply to at most ``2**_CHUNK_BITS``; the leading blocks are
+    constant within it, and one chunk's lanes live at a time.  A chunk
+    whose smallest input lies above a failure already found is skipped.
     """
     if width < 2:
         return None
-    blocks = _sorting_blocks(width, layers)
+    blocks = _sorting_blocks(width, layers, sorts)
     radices = [len(lines) + 1 for lines in blocks]
     split, size = len(blocks), 1
     while split and size * radices[split - 1] <= 1 << _CHUNK_BITS:
@@ -318,7 +290,7 @@ def check_sorting_exhaustive(network: Network) -> VerificationReport:
     """
     width = network.width
     _check_exhaustive_width(width)
-    first = _first_failure(width, [layer.pairs() for layer in network.layers])
+    first = _first_failure(width, [layer.pairs() for layer in network.layers], {})
     if first is not None:
         failing = _input_tuple(first, width)
         return VerificationReport(

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from conftest import all_bool_tuples
-from sortnet.batcher import batcher, batcher_merge, batcher_merge_rec_aux
+from sortnet.batcher import batcher, batcher_merge, batcher_merge_rec
 from sortnet.bitonic import bfsort, bsort, half_cleaner, half_cleaner_rec
 from sortnet.cli import main, parse_text, render_text
 from sortnet.core import Connector, Network
@@ -206,7 +206,7 @@ def test_criterion_6_slice_and_merge_property_suites():
     hits = 0
     for m in range(1, 5):
         half = pow2(m - 1)
-        net = batcher_merge_rec_aux(m - 1)
+        net = batcher_merge_rec(m)
         halves = [
             (False,) * zeros + (True,) * (half - zeros)
             for zeros in range(half + 1)

@@ -7,7 +7,6 @@ from sortnet.batcher import (
     batcher,
     batcher_merge,
     batcher_merge_rec,
-    batcher_merge_rec_aux,
 )
 from sortnet.combinators import cswap
 from sortnet.core import Connector, Network
@@ -85,7 +84,7 @@ def test_merge_layer_finishes_bounded_gaps():
 def test_merge_network_sorts_two_sorted_halves():
     for m in range(1, 5):
         half = pow2(m - 1)
-        net = batcher_merge_rec_aux(m - 1)
+        net = batcher_merge_rec(m)
         halves = [
             (False,) * zeros + (True,) * (half - zeros) for zeros in range(half + 1)
         ]

@@ -89,6 +89,18 @@ def test_equality_and_hash_follow_the_fields(cls):
 
 
 @records
+def test_a_difference_in_any_one_field_makes_records_unequal(cls):
+    # The variants skip the constructor, so a connector may differ in its
+    # width alone; a fresh object equals nothing else.
+    names, values, _, _ = CASES[cls]
+    record = cls(*values)
+    for name in names:
+        variant = _forged(cls, **{**dict(zip(names, values)), name: object()})
+        assert record != variant
+        assert variant != record
+
+
+@records
 def test_records_of_another_class_never_compare_equal(cls):
     _, values, _, _ = CASES[cls]
     record = cls(*values)

@@ -196,7 +196,7 @@ def reduction_paths(network):
     """Which parts of the block reduction ``network`` takes."""
     layers = [layer.pairs() for layer in network.layers]
     cut, groups = verify._components(network.width, layers)
-    blocks = verify._sorting_blocks(network.width, layers)
+    blocks = verify._sorting_blocks(network.width, layers, {})
     paths = set()
     if len(groups) < network.width == len(blocks):
         paths.add("decline")
@@ -323,8 +323,8 @@ def test_block_sorters_at_width_24_skip_the_plain_scan(monkeypatch):
     runs = []
     sorting_blocks, run = verify._sorting_blocks, verify._run
 
-    def counted(width, layers):
-        blocks = sorting_blocks(width, layers)
+    def counted(width, layers, sorts):
+        blocks = sorting_blocks(width, layers, sorts)
         runs.append((width, math.prod(len(lines) + 1 for lines in blocks)))
         return blocks
 
@@ -376,21 +376,27 @@ def test_non_sorter_whose_blocks_sort_fails_on_the_product_alone(monkeypatch):
     assert set(runs) == {mutant.size}  # the whole network, prefix included
 
 
-@pytest.mark.parametrize("make", [bsort, knuth_exchange, batcher])
-def test_identical_blocks_are_decided_once(monkeypatch, make):
+@pytest.mark.parametrize(
+    "name, bound",
+    [("bsort", 3), ("knuth", 3), ("batcher", 3), ("bfsort", 6), ("bfsort-flip", 6)],
+    ids=["bsort", "knuth_exchange", "batcher", "bfsort", "bfsort-flip"],
+)
+def test_identical_blocks_are_decided_once(monkeypatch, name, bound):
     # ndup copies and neodup parity classes repeat a block, so each level
-    # below the whole network needs one decision.
+    # below the whole network needs one decision.  bfsort's blocks recur
+    # at other levels too, which the one memo of a check catches.
     widths = []
     first_failure = verify._first_failure
 
-    def counted(width, layers):
+    def counted(width, layers, sorts):
         widths.append(width)
-        return first_failure(width, layers)
+        return first_failure(width, layers, sorts)
 
     monkeypatch.setattr(verify, "_first_failure", counted)
-    assert check_sorting_exhaustive(make(4)).is_sorting
+    report = check_sorting_exhaustive(generator_variants(4)[name])
+    assert report.is_sorting == (name != "bfsort-flip")  # that one sorts descending
     assert widths[0] == 16
-    assert len([width for width in widths[1:] if width > 1]) <= 3
+    assert len([width for width in widths[1:] if width > 1]) <= bound
 
 
 def test_blocks_are_read_backwards_exactly_when_they_sort_descending(monkeypatch):
@@ -399,12 +405,12 @@ def test_blocks_are_read_backwards_exactly_when_they_sort_descending(monkeypatch
     subs, active = [], []
     first_failure = verify._first_failure
 
-    def captured(width, layers):
+    def captured(width, layers, sorts):
         if not active:
             subs.append(lane_network(width, layers))
         active.append(width)
         try:
-            return first_failure(width, layers)
+            return first_failure(width, layers, sorts)
         finally:
             active.pop()
 
@@ -423,7 +429,7 @@ def test_blocks_are_read_backwards_exactly_when_they_sort_descending(monkeypatch
             block = block_sub_network(layers[:cut], lines)
             sorts.append((lines, sorts_per_tuple(block), sorts_per_tuple(block, True)))
         subs.clear()
-        blocks = verify._sorting_blocks(network.width, layers)
+        blocks = verify._sorting_blocks(network.width, layers, {})
         if all(up or down for _, up, down in sorts):
             assert blocks == groups
             assert set(subs) == {
