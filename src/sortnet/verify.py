@@ -9,17 +9,19 @@ and a comparator is an AND/OR pair on two lanes.
 
 Most sorters need far fewer than ``2**w`` of those inputs.  Cut the
 network after the longest prefix of layers whose comparators leave the
-lines in at least two connected components, its blocks.  A block that
-sorts sends every input with ``d`` ones on its lines to the same output,
-and lines of different blocks never meet in the prefix, so inputs with
-the same count of ones on every block leave the network with the same
-output.  The smallest input of such a class, its *representative*, has
-each block's ones on that block's ``d`` highest-numbered lines.  The
-network sorts exactly when it sorts every representative, one for each
-element of the product of the blocks' counts (``(w/2 + 1)**2`` for two
-sorted halves instead of ``2**w`` inputs), and its lexicographically
-first failing input is the smallest failing representative.  This is
-the prefix output-set argument of Knuth, TAOCP vol. 3, §5.3.4.
+lines in at least two connected components, its blocks.  The prefix acts
+on each block on its own.  A block that sorts, either way round, sends
+every input with ``d`` ones on its lines to the same output; a block that
+sorts neither way is split into blocks of one line, whose count of ones
+is their bit.  So inputs with the same count of ones on every block leave
+the network with the same output.  The smallest input of such a class,
+its *representative*, has each block's ones on that block's ``d``
+highest-numbered lines.  The network sorts exactly when it sorts every
+representative, one for each element of the product of the blocks'
+counts: ``(w/2 + 1)**2`` for two sorted halves, and at most ``2**w``, as
+``c + 1 <= 2**c``.  Its lexicographically first failing input is the
+smallest failing representative: the prefix output-set argument of
+Knuth, TAOCP vol. 3, §5.3.4.
 
 Whether a block sorts is decided by this same check, recursively.  A
 block that sorts descending sorts ascending with its lines read
@@ -27,11 +29,9 @@ backwards, so it is decided listed that way.  One probe picks the
 order: a single True sent in on the block's first line leaves an
 ascending sorter on its last line and a descending one on its first,
 and on two or more lines both cannot hold, so only one direction needs
-checking.  A network with a block that sorts neither way takes single
-lines for blocks, whose representatives are its plain inputs.  One
-check decides identical blocks once, at whatever level they recur: a
-block's comparators touch every one of its lines, so its sub-network
-fixes its width and has one verdict.
+checking.  One check decides identical blocks once, at whatever level
+they recur: a block's comparators touch every one of its lines, so its
+sub-network fixes its width and has one verdict.
 
 The product runs in mixed-radix order, the first block most
 significant, at most ``2**17`` elements at a time, so a chunk's lanes
@@ -39,8 +39,8 @@ stay in cache.  The whole network, prefix included, runs on a chunk's
 representatives, and one walk over the lines from line 0 picks the
 smallest that comes out unsorted.  The leading blocks are constant
 within a chunk, which fixes its smallest input, and a chunk whose
-smallest input lies above a failure already found is skipped.  With
-single-line blocks element ``e`` is input number ``e``, the order is
+smallest input lies above a failure already found is skipped.  When all
+blocks are single lines element ``e`` is input number ``e``, the order is
 lexicographic, and every chunk after the first failing one is skipped.
 Reported counterexamples are recomputed through the plain evaluator, so
 they are independently reproducible.
@@ -62,11 +62,11 @@ from .errors import WidthTooLarge
 #: Exhaustive enumeration guard: 2**24 boolean inputs is the most this
 #: module will grind through; use the sampled oracle beyond that.  Lane
 #: memory does not grow with the width, so the guard bounds time.  At width
-#: 24 on one Xeon core, sorters whose blocks sort take milliseconds
-#: (odd-even transposition 8 ms, merge-exchange 1 ms), a sorter whose
-#: blocks do not sort scans every input in 0.2 s, and non-sorters whose
-#: blocks sort run the product only: the 276 one-flip mutants of odd-even
-#: transposition took 5 ms in the median and 7 to 15 ms at most.
+#: 24 on one Xeon core: a sorter whose blocks sort, milliseconds (odd-even
+#: transposition 4 to 8 ms); with one 12-line half that sorts neither way,
+#: 13 * 2**12 representatives in 1.6 ms; with both halves so, every input
+#: in 0.13 s.  One-flip mutants of odd-even transposition whose blocks sort
+#: run the product only: 5 ms in the median, 15 ms at most.
 MAX_EXHAUSTIVE_WIDTH = 24
 
 # Inputs or product elements per chunk of the exhaustive check, as a
@@ -169,9 +169,9 @@ def _components(width: int, layers: list) -> tuple[int, list[list[int]]]:
 
 
 def _sorting_blocks(width: int, layers: list, sorts: dict) -> list[list[int]]:
-    """The components of :func:`_components` if each sorts one way or the
-    other, or single lines.  ``sorts`` holds the check's block verdicts,
-    keyed by the block sub-network as it is read."""
+    """The components of :func:`_components`, each one that sorts neither
+    way replaced by its lines, one block each.  ``sorts`` holds the check's
+    block verdicts, keyed by the block sub-network as it is read."""
     cut, groups = _components(width, layers)
     # The probe of the module docstring, on every block at once (blocks
     # never meet in the prefix): where a block's True stays on its first
@@ -181,6 +181,7 @@ def _sorting_blocks(width: int, layers: list, sorts: dict) -> list[list[int]]:
     for lines in groups:
         probe[lines[0]] = 1
     _run(probe, layers[:cut])
+    blocks = []
     for lines in groups:
         order = lines[::-1] if probe[lines[0]] else lines
         position = {line: p for p, line in enumerate(order)}
@@ -192,9 +193,8 @@ def _sorting_blocks(width: int, layers: list, sorts: dict) -> list[list[int]]:
             sorts[sub] = (
                 probe[order[-1]] and _first_failure(len(order), sub, sorts) is None
             )
-        if not sorts[sub]:
-            return [[line] for line in range(width)]
-    return groups
+        blocks += [lines] if sorts[sub] else [[line] for line in lines]
+    return blocks
 
 
 def _repeat(pattern: int, period: int, count: int) -> int:
@@ -280,8 +280,8 @@ def check_sorting_exhaustive(network: Network) -> VerificationReport:
     """Decide the sorting property over all ``2**width`` boolean inputs.
 
     The network runs on one representative input for each element of the
-    product of its prefix's blocks, the plain inputs when a block does not
-    sort (see the module docstring), a chunk of at most
+    product of its prefix's blocks, a block that does not sort taken line
+    by line (see the module docstring), a chunk of at most
     ``2**_CHUNK_BITS`` elements at a time.  ``inputs_checked`` says how
     many inputs the verdict covers: ``2**width`` on success, however few
     representatives ran, and on failure the inputs up to and including

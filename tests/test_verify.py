@@ -211,6 +211,9 @@ def reduction_paths(network):
                 paths.add("descending block")
             if lines[-1] - lines[0] >= len(lines):
                 paths.add("interleaved block")
+        split = [lines for lines in groups if len(lines) > 1 and lines not in blocks]
+        if split and any(len(lines) > 1 for lines in blocks):
+            paths.add("split block")
     return paths
 
 
@@ -312,7 +315,7 @@ def test_block_networks_match_plain_scan():
         paths |= reduction_paths(network)
     assert paths == {
         "decline", "reduced", "empty suffix", "descending block",
-        "single-line block", "interleaved block",
+        "single-line block", "interleaved block", "split block",
     }
 
 
@@ -334,13 +337,31 @@ def test_block_sorters_at_width_24_skip_the_plain_scan(monkeypatch):
 
     monkeypatch.setattr(verify, "_sorting_blocks", counted)
     monkeypatch.setattr(verify, "_run", narrow)
-    half = odd_even_transposition(12)
-    merged = nmerge(half, half) + odd_even_transposition(24)
-    for network, product in ((odd_even_transposition(24), 3**12), (merged, 13**2)):
+    half, sorter = odd_even_transposition(12), odd_even_transposition(24)
+    # Without comparator 2 of layer 5 the left half sorts neither way, so
+    # its twelve lines are blocks of their own beside the sorting right
+    # half.  Without its last layer, the suffix leaves twelve ones above
+    # twelve zeros unsorted, the input the plain scan meets first.
+    layers = list(half.layers)
+    pairs = layers[5].pairs()
+    layers[5] = Connector.from_pairs(12, pairs[:2] + pairs[3:])
+    broken = nmerge(Network(12, tuple(layers)), half)
+    cases = (
+        (sorter, 3**12, None),
+        (nmerge(half, half) + sorter, 13**2, None),
+        (broken + sorter, 13 * 2**12, None),
+        (broken + Network(24, sorter.layers[:-1]), 13 * 2**12, (True,) * 12 + (False,) * 12),
+    )
+    for network, product, failing in cases:
         runs.clear()
         report = check_sorting_exhaustive(network)
-        assert report.is_sorting
-        assert report.inputs_checked == 2**24
+        assert report.is_sorting == (failing is None)
+        if failing is None:
+            assert report.inputs_checked == 2**24
+        else:
+            assert report.counterexample.input == failing
+            assert report.inputs_checked == 16_773_121
+            assert network.apply(failing) == report.counterexample.output
         assert [size for width, size in runs if width == 24] == [product]
 
 
@@ -442,7 +463,11 @@ def test_blocks_are_read_backwards_exactly_when_they_sort_descending(monkeypatch
                 for lines, up, down in sorts if len(lines) > 1
             }
         else:
-            assert blocks == [[line] for line in range(network.width)]
+            # A block that sorts neither way becomes its lines, in order.
+            assert blocks == [
+                block for lines, up, down in sorts
+                for block in ([lines] if up or down else [[line] for line in lines])
+            ]
             seen.add("decline")
     assert seen == {"forwards", "backwards", "decline"}
 
