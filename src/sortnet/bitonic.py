@@ -14,7 +14,7 @@ from __future__ import annotations
 from operator import not_
 
 from .combinators import ndup, nmerge
-from .core import Connector, Network
+from .core import Connector, Network, line_numbers
 from .index import pow2
 
 
@@ -24,7 +24,8 @@ def half_cleaner(half: int, flip: bool = False) -> Connector:
     All comparators carry the same orientation flag.
     """
     width = half + half
-    link = tuple(range(half, width)) + tuple(range(half))
+    lines = line_numbers(width)
+    link = lines[half:] + lines[:half]
     return Connector(width, link, (flip,) * width)
 
 
@@ -33,7 +34,7 @@ def rhalf_cleaner(width: int) -> Connector:
 
     On odd widths the middle line stays unconnected.
     """
-    link = tuple(range(width - 1, -1, -1))
+    link = line_numbers(width)[::-1]
     return Connector(width, link, (False,) * width)
 
 

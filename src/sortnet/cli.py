@@ -30,7 +30,7 @@ from operator import contains
 
 from .batcher import batcher
 from .bitonic import bfsort, bsort
-from .core import Connector, Network
+from .core import Connector, Network, line_numbers
 from .errors import SortnetError
 from .index import MAX_EXPONENT
 from .knuth import knuth_exchange
@@ -120,7 +120,7 @@ def parse_text(text: str) -> Network:
             raise NetworkParseError(number, f"expected 'layer:' record, got {row!r}")
         body = row[len("layer:") :]
         if line_of is None:
-            lines = list(range(width))
+            lines = line_numbers(width)
             line_of = dict(zip(map(str, lines), lines))
         layer = _decode_layer(lines, line_of, body)
         layers.append(layer or _parse_layer(width, number, body))
@@ -128,12 +128,12 @@ def parse_text(text: str) -> Network:
 
 
 def _decode_layer(
-    lines: list[int], line_of: dict[str, int], body: str
+    lines: tuple[int, ...], line_of: dict[str, int], body: str
 ) -> Connector | None:
     """The connector of a ``layer:`` record's ``body`` decoded by table, or
     None when the record is not in the canonical form this decodes.
 
-    ``lines`` is ``list(range(width))`` and ``line_of`` maps ``str(i)`` to
+    ``lines`` is ``line_numbers(width)`` and ``line_of`` maps ``str(i)`` to
     ``i`` for each of them.  A record is accepted only when every token is
     ``str(i)-str(j)`` or ``str(i)-str(j)!`` with ``i, j < width`` and all
     its lines are distinct; :func:`_parse_layer` accepts such a record and
@@ -157,7 +157,7 @@ def _decode_layer(
         return None
     if len(set(lows + highs)) != 2 * len(lows):
         return None
-    link, flip = lines[:], [False] * len(lines)
+    link, flip = list(lines), [False] * len(lines)
     for low, high, flipped in zip(lows, highs, flags):
         link[low], link[high] = high, low
         flip[low] = flip[high] = flipped

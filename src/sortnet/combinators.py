@@ -5,14 +5,26 @@ by side (``cmerge`` and friends) and interleaving two blocks onto the
 even and odd lines (``ceomerge`` and friends).  Both preserve the connector
 invariants by construction, and the constructor revalidates anyway, with
 one bulk check of the whole link map (see :class:`~sortnet.core.Connector`).
-The link maps are built with ``map``, ``range`` and slice assignment, so
-neither the gluing nor the check runs Python code per line.
+A glued link map is indexed out of the identity of the result's width,
+:func:`~sortnet.core.line_numbers`: the right block's partner ``j``
+becomes ``lines[c1.width + j]``, the even and odd blocks' partners
+``lines[2j]`` and ``lines[2j + 1]``.  No line number is allocated, the
+check meets the identity's own int objects, and neither the gluing nor
+the check runs Python code per line.
 """
 
-from operator import add
+from operator import itemgetter
 
-from .core import Connector, Network
+from .core import Connector, Network, line_numbers
 from .errors import SortnetError, WidthMismatch
+
+
+def _pick(lines: tuple[int, ...], link: tuple[int, ...]) -> tuple[int, ...]:
+    """``lines[j]`` for each entry ``j`` of ``link``, as a tuple."""
+    # ``itemgetter`` of one index returns a scalar, and of none raises.
+    if len(link) > 1:
+        return itemgetter(*link)(lines)
+    return tuple(lines[j] for j in link)
 
 
 def cswap(i: int, j: int, width: int) -> Connector:
@@ -26,11 +38,10 @@ def cmerge(c1: Connector, c2: Connector) -> Connector:
     Lines below ``c1.width`` follow ``c1``; the rest follow ``c2`` shifted
     up.  Flip flags travel with their source connector.
     """
-    m1 = c1.width
+    width = c1.width + c2.width
+    lines = line_numbers(width)
     return Connector(
-        m1 + c2.width,
-        c1.link + tuple(map(m1.__add__, c2.link)),
-        c1.flip + c2.flip,
+        width, c1.link + _pick(lines[c1.width :], c2.link), c1.flip + c2.flip
     )
 
 
@@ -64,10 +75,11 @@ def ceomerge(c1: Connector, c2: Connector) -> Connector:
             f"cannot interleave widths {c1.width} and {c2.width}"
         )
     width = c1.width + c2.width
+    lines = line_numbers(width)
     link = [0] * width
-    # Partner j of c1 becomes j + j, partner j of c2 becomes j + (1 + j).
-    link[0::2] = map(add, c1.link, c1.link)
-    link[1::2] = map(add, c2.link, map((1).__add__, c2.link))
+    # Partner j of c1 becomes line 2j, partner j of c2 becomes line 2j + 1.
+    link[0::2] = _pick(lines[0::2], c1.link)
+    link[1::2] = _pick(lines[1::2], c2.link)
     flip = [False] * width
     flip[0::2] = c1.flip
     flip[1::2] = c2.flip

@@ -26,12 +26,38 @@ from .errors import (
     InvalidConnector,
     WidthMismatch,
 )
+from .index import MAX_EXPONENT
 
 V = TypeVar("V")
 
 #: A comparator pair as accepted by :meth:`Connector.from_pairs`:
 #: ``(low, high)`` or ``(low, high, flipped)``.
 PairSpec = "tuple[int, int] | tuple[int, int, bool]"
+
+
+#: The line numbers ``0 .. len - 1`` handed out by :func:`line_numbers`.
+_lines: tuple[int, ...] = ()
+
+
+def line_numbers(width: int) -> tuple[int, ...]:
+    """The identity tuple ``(0, 1, ..., width - 1)``, from one shared store.
+
+    Every width up to ``2**MAX_EXPONENT`` gets a slice of one module-level
+    tuple, so line ``i`` is the same int object in all of them.  Link maps
+    built by indexing these tuples allocate no line numbers, and the
+    connector check meets identical objects.  The store grows to the
+    widest width asked for, never past ``2**MAX_EXPONENT`` entries (about
+    2.5 MB with their ints); a wider width gets a tuple of its own.
+    """
+    global _lines
+    # Slice the tuple read or built here: another thread may replace the
+    # store in between, with an equal or a shorter one.
+    lines = _lines
+    if width > len(lines):
+        if width > 1 << MAX_EXPONENT:
+            return tuple(range(width))
+        lines = _lines = lines + tuple(range(len(lines), width))
+    return lines[:width]
 
 
 class _Record:
@@ -85,13 +111,16 @@ class Connector(_Record):
     There is no unchecked way to build one of these: the constructor
     revalidates every invariant, so any reachable instance is sound.  It
     checks the whole map at once: with ``partner = itemgetter(*link)``, it
-    accepts when ``partner(link)`` is ``0, 1, ..., width - 1`` and
-    ``partner(flip)`` is ``flip``.  That also keeps every entry in range.
-    An entry of ``width`` or more fails to index.  A negative entry
-    ``j = link[k]`` would index from the end, so ``link[width + j] == k``,
-    and then ``link[link[width + j]] == j`` differs from ``width + j``.  A
-    map that fails the check goes through the per-line loop, which only
-    names the first fault.
+    accepts when ``partner(link)`` equals ``line_numbers(width)`` and,
+    unless all flags are equal, ``partner(flip)`` equals ``flip``: uniform
+    flags agree across every pair by definition.  A map indexed out of
+    :func:`line_numbers` holds the identity's own int objects, so most
+    entries compare by identity alone.  The check also keeps every entry
+    in range.  An entry of ``width`` or more fails to index.  A negative
+    entry ``j = link[k]`` would index from the end, so
+    ``link[width + j] == k``, and then ``link[link[width + j]] == j``
+    differs from ``width + j``.  A map that fails the check goes through
+    the per-line loop, which only names the first fault.
     """
 
     __slots__ = __match_args__ = ("width", "link", "flip")
@@ -115,8 +144,10 @@ class Connector(_Record):
         if self.width > 1:
             partner = itemgetter(*self.link)
             try:
-                involutive = partner(self.link) == tuple(range(self.width))
-                if involutive and partner(self.flip) == tuple(self.flip):
+                flip = tuple(self.flip)
+                if partner(self.link) == line_numbers(self.width) and (
+                    flip.count(flip[0]) == self.width or partner(flip) == flip
+                ):
                     return
             except (IndexError, TypeError):
                 pass
@@ -142,7 +173,7 @@ class Connector(_Record):
         """
         if width < 0:
             raise InvalidConnector(f"width must be nonnegative, got {width}")
-        link = list(range(width))
+        link = list(line_numbers(width))
         flip = [False] * width
         for pair in pairs:
             if len(pair) == 2:
@@ -158,7 +189,9 @@ class Connector(_Record):
             if link[a] != a or link[b] != b:
                 dup = a if link[a] != a else b
                 raise DuplicateLine(f"line {dup} appears in more than one pair")
-            link[a], link[b] = b, a
+            # Both entries are still their own line numbers: swapping them
+            # keeps the shared int objects of ``line_numbers``.
+            link[a], link[b] = link[b], link[a]
             flip[a] = flip[b] = bool(flipped)
         return cls(width, tuple(link), tuple(flip))
 
@@ -237,7 +270,7 @@ def _comparators(network: Network) -> list[tuple[tuple, tuple, list]]:
     Compiling costs one C-level pass over each layer's lines; the
     comparators' high lines and flags are read from the maps as they run.
     """
-    lines = list(range(network.width))
+    lines = line_numbers(network.width)
     return [
         (layer.link, layer.flip, list(compress(lines, map(gt, layer.link, lines))))
         for layer in network.layers

@@ -4,8 +4,8 @@ from .errors import Overflow
 
 #: Largest exponent accepted by :func:`pow2` and all power-of-two-width
 #: network generators, and the bound ``2**MAX_EXPONENT`` on the width of a
-#: parsed file.  ``sortnet gen ALGO 16 --out FILE`` takes 3.8 to 6.2 s and
-#: 0.58 to 0.68 GB peak RSS on one Xeon core (``bfsort`` is the largest);
+#: parsed file.  ``sortnet gen ALGO 16 --out FILE`` takes 1.7 to 3.7 s and
+#: 0.31 to 0.37 GB peak RSS on one Xeon core (``bfsort`` is the largest);
 #: every step up doubles both.
 MAX_EXPONENT = 16
 

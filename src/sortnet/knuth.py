@@ -9,7 +9,7 @@ sorted as a whole.
 """
 
 from .combinators import neodup
-from .core import Connector, Network
+from .core import Connector, Network, line_numbers
 from .errors import ZeroWidth
 from .index import pow2
 
@@ -29,9 +29,10 @@ def ceswap(width: int) -> Connector:
         raise ZeroWidth("ceswap needs at least one line")
     # On an odd width the last line is even and has no successor: it stays put.
     paired = width - width % 2
-    link = list(range(width))
-    link[0:paired:2] = range(1, paired, 2)
-    link[1:paired:2] = range(0, paired, 2)
+    lines = line_numbers(width)
+    link = list(lines)
+    link[0:paired:2] = lines[1:paired:2]
+    link[1:paired:2] = lines[0:paired:2]
     return Connector(width, tuple(link), (False,) * width)
 
 
@@ -53,9 +54,10 @@ def codd_jump(k: int, width: int) -> Connector:
     # map stays involutive.  The odd lines below ``width - k`` jump up by
     # ``k``; the even lines from ``k + 1`` on jump down by ``k``.
     below = max(width - k, 0)
-    link = list(range(width))
-    link[1:below:2] = range(1 + k, width, 2)
-    link[k + 1 :: 2] = range(1, below, 2)
+    lines = line_numbers(width)
+    link = list(lines)
+    link[1:below:2] = lines[1 + k :: 2]
+    link[k + 1 :: 2] = lines[1:below:2]
     return Connector(width, tuple(link), (False,) * width)
 
 

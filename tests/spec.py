@@ -1,6 +1,7 @@
 """The paper's specification predicates, the connector check one line at a
-time, the per-token parser, the per-tuple evaluator and sampled oracle,
-and the suite's random networks.
+time, the link maps of the two gluing schemes, the per-token parser,
+the per-tuple evaluator and sampled oracle, and the suite's random
+networks.
 
 The paper proves its four constructions correct against these
 predicates: sortedness, permutation, bitonicity, the even/odd slices and
@@ -151,6 +152,22 @@ def random_network(width: int, depth: int, rng: random.Random) -> Network:
     return Network(
         width, tuple(random_connector(width, rng) for _ in range(depth))
     )
+
+
+def cmerge_link(c1: Connector, c2: Connector) -> tuple[int, ...]:
+    """The side-by-side link map: ``c1``'s partners, then each partner
+    ``j`` of ``c2`` shifted up to ``j + c1.width``."""
+    return c1.link + tuple(j + c1.width for j in c2.link)
+
+
+def ceomerge_link(c1: Connector, c2: Connector) -> tuple[int, ...]:
+    """The even/odd link map: line ``2x`` links to ``2j`` where ``j`` is
+    ``x``'s partner in ``c1``, line ``2x + 1`` to ``2j + 1`` where ``j``
+    is its partner in ``c2``."""
+    link = []
+    for j1, j2 in zip(c1.link, c2.link):
+        link += [2 * j1, 2 * j2 + 1]
+    return tuple(link)
 
 
 def check_connector_fields(width: int, link: Sequence, flip: Sequence) -> None:

@@ -1,7 +1,10 @@
 """Connector and network semantics against the plain min/max reference rule."""
 
 import ast
+import operator
 import pathlib
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -15,9 +18,11 @@ from conftest import (
     networks_with_bool_tuples,
     networks_with_int_tuples,
 )
-from sortnet.bitonic import bsort, half_cleaner
+from sortnet import batcher, bfsort, bsort, core, knuth_exchange
+from sortnet.bitonic import half_cleaner
+from sortnet.cli import parse_text, render_text
 from sortnet.combinators import cswap
-from sortnet.core import Connector, Network
+from sortnet.core import Connector, Network, line_numbers
 from sortnet.errors import (
     DegeneratePair,
     DuplicateLine,
@@ -129,6 +134,13 @@ def connector_fields(draw):
 @example((1, (1,), (False,)))
 @example((0, (), ()))
 @example((2, (1, 0), (True, False)))  # flags differ across a pair
+@example((4, (2, 3, 0, 1), (True,) * 4))  # uniform flags: valid, all set
+@example((3, (1, 2, 0), (True,) * 3))  # uniform flags, not involutive
+@example((3, (0, 3, 2), (True,) * 3))  # uniform flags, an entry out of range
+@example((3, (-1, 1, 0), (True,) * 3))  # uniform flags, a negative entry
+@example((3, (2, 1, -3), (True,) * 3))  # uniform flags, negative and looping back
+@example((4, (0, 1, 3, 2), (False, False, True, False)))  # one flag off on a pair
+@example((4, (1, 0, 2, 3), (False, False, True, False)))  # one flag off, unlinked line
 def test_connector_check_matches_the_per_line_oracle(fields):
     try:
         check_connector_fields(*fields)
@@ -144,6 +156,55 @@ def test_connector_check_matches_the_per_line_oracle(fields):
             Connector(*fields)
         assert type(raised.value) is type(expected)
         assert str(raised.value) == str(expected)
+
+
+def test_line_numbers_share_their_ints_up_to_the_guard(monkeypatch):
+    monkeypatch.setattr(core, "_lines", ())
+    low, high = line_numbers(300), line_numbers(600)
+    assert low == tuple(range(300)) and high == tuple(range(600))
+    assert all(map(operator.is_, low, high))
+    # Past 2**MAX_EXPONENT lines a width gets its own tuple: the store
+    # keeps what it holds.
+    monkeypatch.setattr(core, "MAX_EXPONENT", 9)
+    assert line_numbers(700) == tuple(range(700))
+    assert len(core._lines) == 600
+    assert line_numbers(512) == tuple(range(512))
+
+
+def test_line_numbers_from_racing_threads(monkeypatch):
+    monkeypatch.setattr(core, "_lines", ())
+    wrong = []
+
+    def grow(first):
+        # Each pass empties the store, so the threads keep growing it
+        # over one another.
+        for _ in range(50):
+            core._lines = ()
+            for width in range(first, 600, 8):
+                if line_numbers(width) != tuple(range(width)):
+                    wrong.append(width)
+
+    threads = [threading.Thread(target=grow, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
+def test_built_and_parsed_links_hold_the_shared_line_numbers():
+    lines = set(map(id, line_numbers(1 << 9)))
+    networks = [bsort(9), bfsort(True, 9), knuth_exchange(9), batcher(9)]
+    networks.append(parse_text(render_text(networks[1])))
+    for network in networks:
+        for layer in network.layers:
+            assert set(map(id, layer.link)) <= lines
 
 
 def test_identity_connector_passes_through():
