@@ -10,27 +10,27 @@ and a comparator is an AND/OR pair on two lanes.
 Most sorters need far fewer than ``2**w`` of those inputs.  Cut the
 network after the longest prefix of layers whose comparators leave the
 lines in at least two connected components, its blocks.  The prefix acts
-on each block on its own.  A block that sorts, either way round, sends
-every input with ``d`` ones on its lines to the same output; a block that
-sorts neither way is split into blocks of one line, whose count of ones
-is their bit.  So inputs with the same count of ones on every block leave
-the network with the same output.  The smallest input of such a class,
-its *representative*, has each block's ones on that block's ``d``
-highest-numbered lines.  The network sorts exactly when it sorts every
-representative, one for each element of the product of the blocks'
-counts: ``(w/2 + 1)**2`` for two sorted halves, and at most ``2**w``, as
-``c + 1 <= 2**c``.  Its lexicographically first failing input is the
-smallest failing representative: the prefix output-set argument of
-Knuth, TAOCP vol. 3, §5.3.4.
+on each block on its own, and comparators are monotone, so a ``c``-line
+block's outputs on its ``c + 1`` monotone inputs, ``d`` ones on its
+``d`` highest-numbered lines, form a chain, each inside the next.  Listed
+from the last line the chain fills to the first, the block's lines are
+in its *chain order*.  A block sends every input with ``d`` ones to the
+same output exactly when it sorts ascending with its lines in chain
+order; a block that does not is split into blocks of one line, whose
+count of ones is their bit.  So inputs with the same count of ones on
+every block leave the network with the same output.  The smallest input
+of such a class, its *representative*, has each block's ones on that
+block's ``d`` highest-numbered lines.  The network sorts exactly when it
+sorts every representative, one for each element of the product of the
+blocks' counts: ``(w/2 + 1)**2`` for two sorted halves, and at most
+``2**w``, as ``c + 1 <= 2**c``.  Its lexicographically first failing
+input is the smallest failing representative: the prefix output-set
+argument of Knuth, TAOCP vol. 3, §5.3.4.
 
-Whether a block sorts is decided by this same check, recursively.  A
-block that sorts descending sorts ascending with its lines read
-backwards, so it is decided listed that way.  One probe picks the
-order: a single True sent in on the block's first line leaves an
-ascending sorter on its last line and a descending one on its first,
-and on two or more lines both cannot hold, so only one direction needs
-checking.  One check decides identical blocks once, at whatever level
-they recur: a block's comparators touch every one of its lines, so its
+One run of the prefix on lanes of ``c + 1`` bits gives every block's
+chain order, and whether a block sorts into it is decided by this same
+check, recursively, once for identical blocks at whatever level they
+recur: a block's comparators touch every one of its lines, so its
 sub-network fixes its width and has one verdict.
 
 The product runs in mixed-radix order, the first block most
@@ -63,10 +63,10 @@ from .errors import WidthTooLarge
 #: module will grind through; use the sampled oracle beyond that.  Lane
 #: memory does not grow with the width, so the guard bounds time.  At width
 #: 24 on one Xeon core: a sorter whose blocks sort, milliseconds (odd-even
-#: transposition 4 to 8 ms); with one 12-line half that sorts neither way,
-#: 13 * 2**12 representatives in 1.6 ms; with both halves so, every input
-#: in 0.13 s.  One-flip mutants of odd-even transposition whose blocks sort
-#: run the product only: 5 ms in the median, 15 ms at most.
+#: transposition 4 to 8 ms); with one 12-line half that does not sort into
+#: its chain order, 13 * 2**12 representatives in 1.6 ms; with both halves
+#: so, every input in 0.13 s.  One-flip mutants of odd-even transposition
+#: whose blocks sort run the product only: 5 ms in the median, 15 at most.
 MAX_EXHAUSTIVE_WIDTH = 24
 
 # Inputs or product elements per chunk of the exhaustive check, as a
@@ -169,30 +169,28 @@ def _components(width: int, layers: list) -> tuple[int, list[list[int]]]:
 
 
 def _sorting_blocks(width: int, layers: list, sorts: dict) -> list[list[int]]:
-    """The components of :func:`_components`, each one that sorts neither
-    way replaced by its lines, one block each.  ``sorts`` holds the check's
-    block verdicts, keyed by the block sub-network as it is read."""
+    """The components of :func:`_components`, each that does not sort into
+    its chain order replaced by its lines.  ``sorts`` holds the check's
+    block verdicts, keyed by the block sub-network in chain order."""
     cut, groups = _components(width, layers)
-    # The probe of the module docstring, on every block at once (blocks
-    # never meet in the prefix): where a block's True stays on its first
-    # line, the block is read backwards, and where it then does not end
-    # on the block's last line, the block sorts neither way.
-    probe = [0] * width
+    # The chain run of the module docstring, on every block at once
+    # (blocks never meet in the prefix): bit ``d`` of a lane is the line's
+    # value on the block's monotone input with ``d`` ones.
+    chain = [0] * width
     for lines in groups:
-        probe[lines[0]] = 1
-    _run(probe, layers[:cut])
+        for p, line in enumerate(lines):
+            chain[line] = (2 << len(lines)) - (1 << len(lines) - p)
+    _run(chain, layers[:cut])
     blocks = []
     for lines in groups:
-        order = lines[::-1] if probe[lines[0]] else lines
+        order = sorted(lines, key=chain.__getitem__)
         position = {line: p for p, line in enumerate(order)}
         sub = tuple(
             tuple((position[i], position[j], f) for i, j, f in pairs if i in position)
             for pairs in layers[:cut]
         )
         if sub not in sorts:
-            sorts[sub] = (
-                probe[order[-1]] and _first_failure(len(order), sub, sorts) is None
-            )
+            sorts[sub] = _first_failure(len(lines), sub, sorts) is None
         blocks += [lines] if sorts[sub] else [[line] for line in lines]
     return blocks
 
@@ -280,13 +278,13 @@ def check_sorting_exhaustive(network: Network) -> VerificationReport:
     """Decide the sorting property over all ``2**width`` boolean inputs.
 
     The network runs on one representative input for each element of the
-    product of its prefix's blocks, a block that does not sort taken line
-    by line (see the module docstring), a chunk of at most
-    ``2**_CHUNK_BITS`` elements at a time.  ``inputs_checked`` says how
-    many inputs the verdict covers: ``2**width`` on success, however few
-    representatives ran, and on failure the inputs up to and including
-    the lexicographically first unsorted one (False orders before True),
-    which the report holds.
+    product of its prefix's blocks, a block that does not sort into its
+    chain order taken line by line (see the module docstring), a chunk of
+    at most ``2**_CHUNK_BITS`` elements at a time.  ``inputs_checked``
+    says how many inputs the verdict covers: ``2**width`` on success,
+    however few representatives ran, and on failure the inputs up to and
+    including the lexicographically first unsorted one (False orders
+    before True), which the report holds.
     """
     width = network.width
     _check_exhaustive_width(width)

@@ -1,5 +1,6 @@
 """Sorting-property deciders, cross-checked against a plain per-tuple scan."""
 
+import collections
 import itertools
 import math
 import random
@@ -41,15 +42,18 @@ def input_number(values):
     return sum(bit << (len(values) - 1 - i) for i, bit in enumerate(values))
 
 
+def input_tuple(number, width):
+    """The boolean tuple at position ``number`` in lexicographic order."""
+    return tuple(bool(number >> (width - 1 - i) & 1) for i in range(width))
+
+
 def assert_agrees_with_plain_scan(network):
     report = check_sorting_exhaustive(network)
     if network.width <= 10:
         first = scan_first_unsorted_input(network)
     else:  # the per-tuple scan is too slow here
         number = whole_lane_first_failure(network)
-        first = None if number is None else tuple(
-            bool(number >> (network.width - 1 - i) & 1) for i in range(network.width)
-        )
+        first = None if number is None else input_tuple(number, network.width)
     assert report.mode == "exhaustive"
     if first is None:
         assert report.is_sorting
@@ -87,11 +91,15 @@ def whole_lane_first_failure(network):
 
 
 def odd_even_transposition(width):
-    """``width`` alternating layers of neighbour comparators; a sorter."""
-    return Network(width, tuple(
-        Connector.from_pairs(width, [(i, i + 1) for i in range(t % 2, width - 1, 2)])
-        for t in range(width)
-    ))
+    """A sorter on any width: ``width`` rounds of neighbour comparators,
+    one more on odd widths, starting on line 0 and line 1 in turn."""
+    return Network(
+        width,
+        tuple(
+            Connector.from_pairs(width, [(i, i + 1) for i in range(s, width - 1, 2)])
+            for s in [0, 1] * ((width + 1) // 2)
+        ),
+    )
 
 
 def flip_mutants(network):
@@ -184,6 +192,29 @@ def block_sub_network(layers, lines):
     ])
 
 
+def chain_order(layers, lines):
+    """``lines`` listed from the last that their block's monotone inputs
+    fill to the first, found by running those inputs through the block."""
+    block, c = block_sub_network(layers, lines), len(lines)
+    outputs = [block.apply((False,) * (c - d) + (True,) * d) for d in range(c + 1)]
+    filled = [
+        next(p for p in range(c) if outputs[d][p] and not outputs[d - 1][p])
+        for d in range(1, c + 1)
+    ]
+    return [lines[p] for p in reversed(filled)]
+
+
+def depends_on_count_only(network):
+    """Whether boolean tuples with the same count of ones leave ``network``
+    with the same output, by a plain scan."""
+    outputs = {}
+    for values in itertools.product((False, True), repeat=network.width):
+        out = network.apply(values)
+        if outputs.setdefault(sum(values), out) != out:
+            return False
+    return True
+
+
 def sorts_per_tuple(network, descending=False):
     """Whether ``network`` sorts every boolean tuple, by a plain scan."""
     return all(
@@ -209,6 +240,8 @@ def reduction_paths(network):
                 paths.add("single-line block")
             elif sorts_per_tuple(block_sub_network(layers[:cut], lines), descending=True):
                 paths.add("descending block")
+            elif chain_order(layers[:cut], lines) not in (lines, lines[::-1]):
+                paths.add("relabelled block")
             if lines[-1] - lines[0] >= len(lines):
                 paths.add("interleaved block")
         split = [lines for lines in groups if len(lines) > 1 and lines not in blocks]
@@ -308,6 +341,37 @@ def test_generators_and_flip_mutants_match_plain_scan(m):
     assert sides == expected
 
 
+def test_generators_and_flip_mutants_above_the_guard():
+    # At width 32 the plain scan cannot run, so the verdicts are held to
+    # what can be checked at any width: a counterexample replays unsorted,
+    # and seeded random inputs find no failure below it, or none at all
+    # under "sorting".  A seeded third of the one-flip mutants keeps this
+    # to about a second, and each of them must fail.
+    rng = random.Random(32)
+    variants = generator_variants(5)
+    mutants = [
+        (name, net) for name, network in variants.items() for net in flip_mutants(network)
+    ]
+    assert len(mutants) == 1102
+    verdicts = {}
+    for name, net in list(variants.items()) + rng.sample(mutants, 370):
+        first = verify._first_failure(32, [layer.pairs() for layer in net.layers], {})
+        if net is variants[name]:
+            verdicts[name] = first
+        else:
+            assert first is not None
+        numbers = [rng.getrandbits(32) for _ in range(4)]
+        if first is not None:
+            assert not is_sorted(net.apply(input_tuple(first, 32)))
+            numbers += [rng.randrange(first) for _ in range(4)]
+        for number in numbers:
+            failed = not is_sorted(net.apply(input_tuple(number, 32)))
+            assert not failed or first is not None and number >= first
+    assert verdicts == {
+        "bsort": None, "bfsort": None, "bfsort-flip": 1, "knuth": None, "batcher": None,
+    }
+
+
 def test_block_networks_match_plain_scan():
     paths = set()
     for network in block_networks("default"):
@@ -315,7 +379,7 @@ def test_block_networks_match_plain_scan():
         paths |= reduction_paths(network)
     assert paths == {
         "decline", "reduced", "empty suffix", "descending block",
-        "single-line block", "interleaved block", "split block",
+        "relabelled block", "single-line block", "interleaved block", "split block",
     }
 
 
@@ -338,10 +402,10 @@ def test_block_sorters_at_width_24_skip_the_plain_scan(monkeypatch):
     monkeypatch.setattr(verify, "_sorting_blocks", counted)
     monkeypatch.setattr(verify, "_run", narrow)
     half, sorter = odd_even_transposition(12), odd_even_transposition(24)
-    # Without comparator 2 of layer 5 the left half sorts neither way, so
-    # its twelve lines are blocks of their own beside the sorting right
-    # half.  Without its last layer, the suffix leaves twelve ones above
-    # twelve zeros unsorted, the input the plain scan meets first.
+    # Without comparator 2 of layer 5 the left half does not sort into its
+    # chain order, so its twelve lines are blocks of their own beside the
+    # sorting right half.  Without its last layer, the suffix leaves twelve
+    # ones above twelve zeros unsorted, the input the plain scan meets first.
     layers = list(half.layers)
     pairs = layers[5].pairs()
     layers[5] = Connector.from_pairs(12, pairs[:2] + pairs[3:])
@@ -379,7 +443,7 @@ def test_non_sorter_whose_blocks_sort_fails_on_the_product_alone(monkeypatch):
     run = verify._run
 
     def counted(lanes, layers):
-        if len(lanes) == 24 and max(lanes).bit_length() > 1:  # not the probe
+        if len(lanes) == 24:  # not a block's own check
             runs.append(len(layers))
         run(lanes, layers)
 
@@ -393,8 +457,11 @@ def test_non_sorter_whose_blocks_sort_fails_on_the_product_alone(monkeypatch):
     chunk = 1
     while chunk * 3 <= 1 << verify._CHUNK_BITS:
         chunk *= 3
-    assert 0 < len(runs) <= -(-(3**12) // chunk)
-    assert set(runs) == {mutant.size}  # the whole network, prefix included
+    # One chain run of the prefix, then chunks of the whole network,
+    # prefix included.
+    cut = verify._components(24, [layer.pairs() for layer in mutant.layers])[0]
+    assert 0 < len(runs) - 1 <= -(-(3**12) // chunk)
+    assert runs == [cut] + [mutant.size] * (len(runs) - 1)
 
 
 @pytest.mark.parametrize(
@@ -420,7 +487,7 @@ def test_identical_blocks_are_decided_once(monkeypatch, name, bound):
     assert len([width for width in widths[1:] if width > 1]) <= bound
 
 
-def test_blocks_are_read_backwards_exactly_when_they_sort_descending(monkeypatch):
+def test_blocks_are_read_in_chain_order_and_kept_when_their_count_decides(monkeypatch):
     # The block sub-networks that _sorting_blocks hands to _first_failure,
     # not those decided further down the recursion.
     subs, active = [], []
@@ -437,7 +504,7 @@ def test_blocks_are_read_backwards_exactly_when_they_sort_descending(monkeypatch
 
     monkeypatch.setattr(verify, "_first_failure", captured)
     rng = random.Random(2024)
-    seen = set()
+    seen = collections.Counter()
     for _ in range(150):
         c = rng.randint(2, 8)
         a, b = random_block(rng, c), random_block(rng, c)
@@ -445,31 +512,27 @@ def test_blocks_are_read_backwards_exactly_when_they_sort_descending(monkeypatch
         network = rng.choice([nmerge, neomerge])(padded(a, depth), padded(b, depth))
         layers = [layer.pairs() for layer in network.layers]
         cut, groups = verify._components(network.width, layers)
-        sorts = []
+        blocks, block_subs = [], set()
         for lines in groups:
-            block = block_sub_network(layers[:cut], lines)
-            sorts.append((lines, sorts_per_tuple(block), sorts_per_tuple(block, True)))
+            order = chain_order(layers[:cut], lines)
+            kept = depends_on_count_only(block_sub_network(layers[:cut], lines))
+            sub = block_sub_network(layers[:cut], order)
+            # A block's count of ones decides its output exactly when it
+            # sorts into its chain order; otherwise it becomes its lines.
+            assert sorts_per_tuple(sub) == kept
+            block_subs.add(sub)
+            blocks += [lines] if kept else [[line] for line in lines]
+            if len(lines) > 1:
+                seen[
+                    "split" if not kept
+                    else "forwards" if order == lines
+                    else "backwards" if order == lines[::-1]
+                    else "relabelled"
+                ] += 1
         subs.clear()
-        blocks = verify._sorting_blocks(network.width, layers, {})
-        if all(up or down for _, up, down in sorts):
-            assert blocks == groups
-            assert set(subs) == {
-                block_sub_network(layers[:cut], lines[::-1] if down and not up else lines)
-                for lines, up, down in sorts
-            }
-            assert all(sorts_per_tuple(sub) for sub in subs)
-            seen |= {
-                "backwards" if down and not up else "forwards"
-                for lines, up, down in sorts if len(lines) > 1
-            }
-        else:
-            # A block that sorts neither way becomes its lines, in order.
-            assert blocks == [
-                block for lines, up, down in sorts
-                for block in ([lines] if up or down else [[line] for line in lines])
-            ]
-            seen.add("decline")
-    assert seen == {"forwards", "backwards", "decline"}
+        assert verify._sorting_blocks(network.width, layers, {}) == blocks
+        assert set(subs) == block_subs
+    assert seen.keys() == {"forwards", "backwards", "relabelled", "split"}
 
 
 def test_exhaustive_matches_whole_lane_evaluator_at_width_18():
@@ -544,17 +607,6 @@ def test_oracle_is_deterministic_per_seed():
     first = check_sorting_oracle(net, trials=50, seed=123)
     second = check_sorting_oracle(net, trials=50, seed=123)
     assert first == second
-
-
-def odd_even_transposition(width):
-    """A sorter on any width: ``width`` rounds of neighbour comparators."""
-    return Network(
-        width,
-        tuple(
-            Connector.from_pairs(width, [(i, i + 1) for i in range(s, width - 1, 2)])
-            for s in [0, 1] * ((width + 1) // 2)
-        ),
-    )
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
