@@ -1,5 +1,5 @@
 """Byte-identical ``render_text`` (m = 0..11) and ``render_svg`` (m = 0..7)
-output of every generator.
+output of every generator, and byte-identical CLI transcripts.
 
 The text digests pin the exact comparator layout of each construction, so
 a rewrite of the combinators or the jump and swap connectors that changes
@@ -7,7 +7,9 @@ any line, flag or layer order fails here.  The SVG digests also pin the
 drawing's layout, including the sideways offsets of overlapping links.
 """
 
+import contextlib
 import hashlib
+import io
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from conftest import networks
 from sortnet.batcher import batcher
 from sortnet.bitonic import bfsort, bsort
-from sortnet.cli import parse_text, render_svg, render_text
+from sortnet.cli import main, parse_text, render_svg, render_text
 from sortnet.knuth import knuth_exchange
 
 GENERATORS = {
@@ -192,3 +194,70 @@ def test_render_text_matches_a_token_by_token_renderer(net):
     text = render_text(net)
     assert text == render_tokens(net)
     assert parse_text(text) == net
+
+
+# The malformed files of the benchmark's read-apply workload.
+MALFORMED = (
+    ("bad-header", b"snet 2 4\nlayer: 0-1\n"),
+    ("out-of-range", b"snet 1 4\nlayer: 0-4\n"),
+    ("reused-line", b"snet 1 4\nlayer: 0-1 1-2\n"),
+    ("self-pair", b"snet 1 4\nlayer: 2-2\n"),
+    ("superscript", "snet 1 4\nlayer: 0-\u00b2\n".encode("utf-8")),
+    ("non-utf8", b"snet 1 4\nlayer: 0-1 \xff\xfe\n"),
+)
+
+# sha256 of cli_transcript: exit codes, stdout and stderr of every call.
+TRANSCRIPT_DIGEST = (
+    "c5437699204d88d9ffaa3864b4a779c0f17ed41cb0f74951205058e6186e6469"
+)
+
+
+def transcript_calls(workdir):
+    """``main`` argument lists: every command on every generator at m =
+    0..4, four usage errors, and ``verify`` on the malformed files, which
+    are written to ``workdir``."""
+    calls = []
+    for m in range(5):
+        for name, *flag in (["bsort"], ["bfsort"], ["bfsort", "--flip"],
+                            ["knuth"], ["batcher"]):
+            for form in ("text", "svg"):
+                calls.append(["gen", name, str(m), *flag, "--format", form])
+        width = 1 << m
+        values = ",".join(map(str, range(width // 2, width // 2 - width, -1)))
+        for name in ("bsort", "bfsort", "knuth", "batcher"):
+            calls += [
+                ["verify", name, str(m)],
+                ["verify", name, str(m), "--oracle", "7", "--seed", "3"],
+                ["stats", name, str(m)],
+                ["apply", name, str(m), f"--input={values}"],
+            ]
+    calls += [
+        ["gen", "quick", "2"],
+        ["verify", "bsort", "5"],
+        ["stats", "bsort", "x"],
+        ["gen", "knuth", "2", "--flip"],
+    ]
+    for name, data in MALFORMED:
+        path = workdir / f"malformed-{name}.snet"
+        path.write_bytes(data)
+        calls.append(["verify", str(path)])
+    return calls
+
+
+def cli_transcript(workdir):
+    """sha256 over the exit code, stdout and stderr of each call of
+    :func:`transcript_calls`, with ``workdir`` named ``DIR``."""
+    digest = hashlib.sha256()
+    for argv in transcript_calls(workdir):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        record = repr((argv, code, out.getvalue(), err.getvalue()))
+        digest.update(record.replace(str(workdir), "DIR").encode())
+    return digest.hexdigest()
+
+
+def test_cli_transcript_is_byte_identical(tmp_path, monkeypatch):
+    # argparse wraps its usage lines to the terminal width it reads here.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli_transcript(tmp_path) == TRANSCRIPT_DIGEST
