@@ -88,6 +88,6 @@ def bfsort(flip: bool, m: int) -> Network:
     # Every bfsort layer connects all of its lines, so negating every flag
     # of the ``flip`` half gives exactly the ``not flip`` half.
     other = tuple(
-        Connector(c.width, c.link, tuple(map(not_, c.flip))) for c in half.layers
+        Connector(c.width, c.link, map(not_, c.flip)) for c in half.layers
     )
     return nmerge(half, Network(half.width, other)) + half_cleaner_rec(m, flip)

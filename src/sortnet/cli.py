@@ -44,7 +44,13 @@ from .verify import (
     network_stats,
 )
 
-GENERATOR_NAMES = ("bsort", "bfsort", "knuth", "batcher")
+#: ``build(m, flip)`` of each generator that ``gen`` and ``ALGO M`` name.
+GENERATORS = {
+    "bsort": lambda m, flip: bsort(m),
+    "bfsort": lambda m, flip: bfsort(flip, m),
+    "knuth": lambda m, flip: knuth_exchange(m),
+    "batcher": lambda m, flip: batcher(m),
+}
 
 
 class NetworkParseError(SortnetError):
@@ -124,7 +130,7 @@ def parse_text(text: str) -> Network:
             line_of = dict(zip(map(str, lines), lines))
         layer = _decode_layer(lines, line_of, body)
         layers.append(layer or _parse_layer(width, number, body))
-    return Network(width, tuple(layers))
+    return Network(width, layers)
 
 
 def _decode_layer(
@@ -161,7 +167,7 @@ def _decode_layer(
     for low, high, flipped in zip(lows, highs, flags):
         link[low], link[high] = high, low
         flip[low] = flip[high] = flipped
-    return Connector(len(lines), tuple(link), tuple(flip))
+    return Connector(len(lines), link, flip)
 
 
 def _parse_layer(width: int, number: int, body: str) -> Connector:
@@ -235,8 +241,7 @@ def render_svg(network: Network) -> str:
     total_w = x + _SVG_MARGIN_X
     total_h = 2 * _SVG_MARGIN_Y + max(width - 1, 0) * _SVG_LINE_GAP
 
-    def y(line: int) -> int:
-        return _SVG_MARGIN_Y + line * _SVG_LINE_GAP
+    y = [_SVG_MARGIN_Y + line * _SVG_LINE_GAP for line in range(width)]
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -251,8 +256,8 @@ def render_svg(network: Network) -> str:
     ]
     for line in range(width):
         parts.append(
-            f'<line class="wire" x1="10" y1="{y(line)}" '
-            f'x2="{total_w - 10}" y2="{y(line)}"/>'
+            f'<line class="wire" x1="10" y1="{y[line]}" '
+            f'x2="{total_w - 10}" y2="{y[line]}"/>'
         )
     parts.append("</g>")
     for index, (base_x, pairs, offsets) in enumerate(columns):
@@ -262,23 +267,17 @@ def render_svg(network: Network) -> str:
         )
         for (low, high, flipped), offset in zip(pairs, offsets):
             cx = base_x + offset * _SVG_SUB_GAP
-            parts.append(
-                f'<circle cx="{cx}" cy="{y(low)}" r="{_SVG_DOT_RADIUS}"/>'
-            )
-            parts.append(
-                f'<circle cx="{cx}" cy="{y(high)}" r="{_SVG_DOT_RADIUS}"/>'
-            )
-            if flipped:
-                # Maximum travels to the lower-numbered (upper) line.
+            for line in (low, high):
                 parts.append(
-                    f'<line class="link" x1="{cx}" y1="{y(high)}" '
-                    f'x2="{cx}" y2="{y(low)}" marker-end="url(#flip-arrow)"/>'
+                    f'<circle cx="{cx}" cy="{y[line]}" r="{_SVG_DOT_RADIUS}"/>'
                 )
-            else:
-                parts.append(
-                    f'<line class="link" x1="{cx}" y1="{y(low)}" '
-                    f'x2="{cx}" y2="{y(high)}"/>'
-                )
+            # Flipped: the arrowhead marks the upper line, which gets the maximum.
+            start, end = (high, low) if flipped else (low, high)
+            marker = ' marker-end="url(#flip-arrow)"' if flipped else ""
+            parts.append(
+                f'<line class="link" x1="{cx}" y1="{y[start]}" '
+                f'x2="{cx}" y2="{y[end]}"{marker}/>'
+            )
         parts.append("</g>")
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -287,7 +286,7 @@ def render_svg(network: Network) -> str:
 def _generate(
     algorithm: str, m: int, flip: bool = False, exhaustive: bool = False
 ) -> Network:
-    """Build the network of ``algorithm``, one of ``GENERATOR_NAMES``;
+    """Build the network of ``algorithm``, a key of ``GENERATORS``;
     with ``exhaustive``, refuse beforehand a width the exhaustive check
     would refuse."""
     if m < 0:
@@ -296,20 +295,14 @@ def _generate(
         raise CliError(f"m must be at most {MAX_EXPONENT}")
     if exhaustive:
         _check_exhaustive_width(1 << m)
-    if algorithm == "bsort":
-        return bsort(m)
-    if algorithm == "bfsort":
-        return bfsort(flip, m)
-    if algorithm == "knuth":
-        return knuth_exchange(m)
-    return batcher(m)
+    return GENERATORS[algorithm](m, flip)
 
 
 def _resolve_network(
     source: list[str], exhaustive: bool = False
 ) -> tuple[Network, int | None]:
     """Interpret positional arguments as either ``FILE`` or ``ALGO M``."""
-    if len(source) == 2 and source[0] in GENERATOR_NAMES:
+    if len(source) == 2 and source[0] in GENERATORS:
         algo, m_text = source
         try:
             m = int(m_text)
@@ -326,9 +319,7 @@ def _resolve_network(
         except UnicodeDecodeError as exc:
             raise CliError(f"{path}: not UTF-8 text ({exc.reason})") from None
         return parse_text(text), None
-    raise CliError(
-        "expected a network FILE or '<bsort|bfsort|knuth|batcher> <m>'"
-    )
+    raise CliError(f"expected a network FILE or '<{'|'.join(GENERATORS)}> <m>'")
 
 
 def _format_values(values) -> str:
@@ -385,6 +376,9 @@ def _cmd_apply(args) -> int:
     values = []
     for piece in pieces:
         try:
+            # A sign and ASCII digits, as in files; int() also takes "_" and any digit.
+            if not (piece.isascii() and piece.lstrip("+-").isdigit()):
+                raise ValueError
             value = int(piece)
         except ValueError:
             raise CliError(f"bad integer {piece!r} in --input") from None
@@ -418,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a network and print or save it")
-    gen.add_argument("algorithm", choices=GENERATOR_NAMES)
+    gen.add_argument("algorithm", choices=GENERATORS)
     gen.add_argument("m", type=int, help="size exponent; the network has 2**m lines")
     gen.add_argument(
         "--flip", action="store_true", help="descending orientation (bfsort only)"

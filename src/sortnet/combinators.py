@@ -83,7 +83,7 @@ def ceomerge(c1: Connector, c2: Connector) -> Connector:
     flip = [False] * width
     flip[0::2] = c1.flip
     flip[1::2] = c2.flip
-    return Connector(width, tuple(link), tuple(flip))
+    return Connector(width, link, flip)
 
 
 def neomerge(n1: Network, n2: Network) -> Network:

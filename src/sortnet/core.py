@@ -109,26 +109,27 @@ class Connector(_Record):
     carry the same flag.
 
     There is no unchecked way to build one of these: the constructor
-    revalidates every invariant, so any reachable instance is sound.  It
-    checks the whole map at once: with ``partner = itemgetter(*link)``, it
-    accepts when ``partner(link)`` equals ``line_numbers(width)`` and,
-    unless all flags are equal, ``partner(flip)`` equals ``flip``: uniform
-    flags agree across every pair by definition.  A map indexed out of
-    :func:`line_numbers` holds the identity's own int objects, so most
-    entries compare by identity alone.  The check also keeps every entry
-    in range.  An entry of ``width`` or more fails to index.  A negative
-    entry ``j = link[k]`` would index from the end, so
-    ``link[width + j] == k``, and then ``link[link[width + j]] == j``
-    differs from ``width + j``.  A map that fails the check goes through
-    the per-line loop, which only names the first fault.
+    stores both maps as tuples and revalidates every invariant, so any
+    reachable instance is sound.  It checks the whole map at once: with
+    ``partner = itemgetter(*link)``, it accepts when ``partner(link)``
+    equals ``line_numbers(width)`` and, unless all flags are equal,
+    ``partner(flip)`` equals ``flip``: uniform flags agree across every
+    pair by definition.  A map indexed out of :func:`line_numbers` holds
+    the identity's own int objects, so most entries compare by identity
+    alone.  The check also keeps every entry in range.  An entry of
+    ``width`` or more fails to index.  A negative entry ``j = link[k]``
+    would index from the end, so ``link[width + j] == k``, and then
+    ``link[link[width + j]] == j`` differs from ``width + j``.  A map that
+    fails the check, or has fewer than two entries, goes through the
+    per-line loop, which only names the first fault.
     """
 
     __slots__ = __match_args__ = ("width", "link", "flip")
 
-    def __init__(self, width: int, link: tuple[int, ...], flip: tuple[bool, ...]):
+    def __init__(self, width: int, link: Iterable[int], flip: Iterable[bool]):
         object.__setattr__(self, "width", width)
-        object.__setattr__(self, "link", link)
-        object.__setattr__(self, "flip", flip)
+        object.__setattr__(self, "link", tuple(link))
+        object.__setattr__(self, "flip", tuple(flip))
         if self.width < 0:
             raise InvalidConnector(f"width must be nonnegative, got {self.width}")
         if len(self.link) != self.width:
@@ -139,18 +140,14 @@ class Connector(_Record):
             raise InvalidConnector(
                 f"flip has {len(self.flip)} entries for width {self.width}"
             )
-        # ``itemgetter`` of a single index returns a scalar, so widths 0
-        # and 1 go straight to the loop.
-        if self.width > 1:
-            partner = itemgetter(*self.link)
-            try:
-                flip = tuple(self.flip)
-                if partner(self.link) == line_numbers(self.width) and (
-                    flip.count(flip[0]) == self.width or partner(flip) == flip
-                ):
-                    return
-            except (IndexError, TypeError):
-                pass
+        try:
+            partner, flip = itemgetter(*self.link), self.flip
+            if partner(self.link) == line_numbers(self.width) and (
+                flip.count(flip[0]) == self.width or partner(flip) == flip
+            ):
+                return
+        except (IndexError, TypeError):
+            pass
         for i, j in enumerate(self.link):
             if not 0 <= j < self.width:
                 raise InvalidConnector(f"link[{i}] = {j} not in [0, {self.width})")
@@ -193,7 +190,7 @@ class Connector(_Record):
             # keeps the shared int objects of ``line_numbers``.
             link[a], link[b] = link[b], link[a]
             flip[a] = flip[b] = bool(flipped)
-        return cls(width, tuple(link), tuple(flip))
+        return cls(width, link, flip)
 
     @classmethod
     def identity(cls, width: int) -> "Connector":
@@ -221,9 +218,9 @@ class Network(_Record):
 
     __slots__ = __match_args__ = ("width", "layers")
 
-    def __init__(self, width: int, layers: tuple[Connector, ...]):
+    def __init__(self, width: int, layers: Iterable[Connector]):
         object.__setattr__(self, "width", width)
-        object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "layers", tuple(layers))
         if self.width < 0:
             raise WidthMismatch(f"width must be nonnegative, got {self.width}")
         for pos, layer in enumerate(self.layers):

@@ -27,11 +27,12 @@ blocks' counts: ``(w/2 + 1)**2`` for two sorted halves, and at most
 input is the smallest failing representative: the prefix output-set
 argument of Knuth, TAOCP vol. 3, §5.3.4.
 
-One run of the prefix on lanes of ``c + 1`` bits gives every block's
-chain order, and whether a block sorts into it is decided by this same
-check, recursively, once for identical blocks at whatever level they
-recur: a block's comparators touch every one of its lines, so its
-sub-network fixes its width and has one verdict.
+One run of the prefix on the network's own ``w + 1`` monotone inputs
+gives every block's chain order, as they fill each block's last lines
+first.  Whether a block sorts into it is decided by this same check,
+recursively, once for identical blocks at whatever level they recur: a
+block's comparators touch every one of its lines, so its sub-network
+fixes its width and has one verdict.
 
 The product runs in mixed-radix order, the first block most
 significant, at most ``2**17`` elements at a time, so a chunk's lanes
@@ -173,13 +174,9 @@ def _sorting_blocks(width: int, layers: list, sorts: dict) -> list[list[int]]:
     its chain order replaced by its lines.  ``sorts`` holds the check's
     block verdicts, keyed by the block sub-network in chain order."""
     cut, groups = _components(width, layers)
-    # The chain run of the module docstring, on every block at once
-    # (blocks never meet in the prefix): bit ``d`` of a lane is the line's
-    # value on the block's monotone input with ``d`` ones.
-    chain = [0] * width
-    for lines in groups:
-        for p, line in enumerate(lines):
-            chain[line] = (2 << len(lines)) - (1 << len(lines) - p)
+    # The chain run of the module docstring: bit ``d`` of a lane is the
+    # line's value on the network's own monotone input with ``d`` ones.
+    chain = [(2 << width) - (1 << width - line) for line in range(width)]
     _run(chain, layers[:cut])
     blocks = []
     for lines in groups:
@@ -289,20 +286,16 @@ def check_sorting_exhaustive(network: Network) -> VerificationReport:
     width = network.width
     _check_exhaustive_width(width)
     first = _first_failure(width, [layer.pairs() for layer in network.layers], {})
+    counterexample = None
     if first is not None:
         failing = _input_tuple(first, width)
-        return VerificationReport(
-            width=width,
-            inputs_checked=first + 1,
-            mode="exhaustive",
-            is_sorting=False,
-            counterexample=Counterexample(failing, network.apply(failing)),
-        )
+        counterexample = Counterexample(failing, network.apply(failing))
     return VerificationReport(
         width=width,
-        inputs_checked=1 << width,
+        inputs_checked=1 << width if first is None else first + 1,
         mode="exhaustive",
-        is_sorting=True,
+        is_sorting=first is None,
+        counterexample=counterexample,
     )
 
 
@@ -329,27 +322,21 @@ def check_sorting_oracle(
         permutations = itertools.permutations(ordered)
         cases = itertools.chain(zip(permutations, itertools.repeat(ordered)), cases)
     comparators = _comparators(network)
-    checked = 0
+    checked, counterexample = 0, None
     for values, expected in cases:
         checked += 1
         out = _evaluate(comparators, values)
         # The inputs are integers, so this one comparison means "a sorted
         # permutation of the input".
         if out != expected:
-            return VerificationReport(
-                width=width,
-                inputs_checked=checked,
-                mode="sampled",
-                is_sorting=False,
-                counterexample=Counterexample(tuple(values), tuple(out)),
-                seed=seed,
-                trials=trials,
-            )
+            counterexample = Counterexample(tuple(values), tuple(out))
+            break
     return VerificationReport(
         width=width,
         inputs_checked=checked,
         mode="sampled",
-        is_sorting=True,
+        is_sorting=counterexample is None,
+        counterexample=counterexample,
         seed=seed,
         trials=trials,
     )

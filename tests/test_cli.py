@@ -287,8 +287,8 @@ def test_verify_refuses_wide_generator_before_building(monkeypatch, capsys, algo
     def refuse(*args):
         raise AssertionError("generator called")
 
-    for name in ("bsort", "bfsort", "knuth_exchange", "batcher"):
-        monkeypatch.setattr(cli, name, refuse)
+    for name in cli.GENERATORS:
+        monkeypatch.setitem(cli.GENERATORS, name, refuse)
     assert main(["verify", algo, "5"]) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", "error: width 32 exceeds exhaustive guard 24\n")
@@ -466,6 +466,27 @@ def test_apply_validates_input(capsys):
     too_big = str(2**63)
     assert main(["apply", "bsort", "2", "--input", f"1,2,3,{too_big}"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "text, bad",
+    [
+        ("\u0663,1", "\u0663"),  # ARABIC-INDIC DIGIT THREE: int() reads 3
+        ("1_0,2", "1_0"),  # int() reads 10
+        ("1,\uff12", "\uff12"),  # FULLWIDTH DIGIT TWO: int() reads 2
+        ("+,1", "+"),
+        ("+-3,1", "+-3"),
+    ],
+)
+def test_apply_reads_integers_as_files_do(capsys, text, bad):
+    # A value is an optional sign and ASCII digits, as in the text format.
+    assert main(["apply", "bsort", "1", f"--input={text}"]) == 2
+    assert capsys.readouterr() == ("", f"error: bad integer {bad!r} in --input\n")
+
+
+def test_apply_takes_signs_and_spaces(capsys):
+    assert main(["apply", "bsort", "1", "--input= +3 , -5 "]) == 0
+    assert capsys.readouterr().out == "-5,3\n"
 
 
 def test_apply_int64_bounds_accepted(capsys):

@@ -130,7 +130,7 @@ def connector_fields(draw):
 @example((3, (-1, 1, 0), (False,) * 3))  # a negative entry
 @example((3, (2, 1, -3), (False,) * 3))  # link[link[2]] == 2 under Python indexing
 @example((4, (1, 0, 4, 3), (False,) * 4))  # an entry equal to the width
-@example((1, (0,), (True,)))  # width 1 skips the bulk check
+@example((1, (0,), (True,)))  # width 1: the bulk gather is a scalar; the loop decides
 @example((1, (1,), (False,)))
 @example((0, (), ()))
 @example((2, (1, 0), (True, False)))  # flags differ across a pair

@@ -177,3 +177,17 @@ def test_loading_a_pickle_rechecks_the_record():
     bad_width = _forged(Network, width=2, layers=(LAYER,))
     with pytest.raises(WidthMismatch):
         pickle.loads(pickle.dumps(bad_width))
+
+
+def test_records_keep_tuples_of_what_they_checked():
+    link, flip = [1, 0, 3, 2], [False] * 4
+    layer = Connector(4, link, flip)
+    twin = Connector(4, tuple(link), tuple(flip))
+    assert layer == twin and hash(layer) == hash(twin)
+    link[0] = 9
+    flip[1] = True
+    assert layer.link == (1, 0, 3, 2) and layer.flip == (False,) * 4
+    joined = Network(4, [layer]) + Network(4, (layer,))
+    assert joined.layers == (layer, layer)
+    # A tuple is stored as given, so shared line numbers stay shared.
+    assert Connector(4, twin.link, twin.flip).link is twin.link
