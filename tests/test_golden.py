@@ -208,14 +208,16 @@ MALFORMED = (
 
 # sha256 of cli_transcript: exit codes, stdout and stderr of every call.
 TRANSCRIPT_DIGEST = (
-    "c5437699204d88d9ffaa3864b4a779c0f17ed41cb0f74951205058e6186e6469"
+    "d34462dfcf3f4729c1e1c89168f3eec00cc6acc0656406b6a9f9247f19a5aa25"
 )
 
 
 def transcript_calls(workdir):
     """``main`` argument lists: every command on every generator at m =
-    0..4, four usage errors, and ``verify`` on the malformed files, which
-    are written to ``workdir``."""
+    0..4, four usage errors, argparse's help and errors (no arguments, an
+    unknown command, each command's ``--help`` and an unrecognized
+    argument to each command), and ``verify`` on the malformed files,
+    which are written to ``workdir``."""
     calls = []
     for m in range(5):
         for name, *flag in (["bsort"], ["bfsort"], ["bfsort", "--flip"],
@@ -236,7 +238,15 @@ def transcript_calls(workdir):
         ["verify", "bsort", "5"],
         ["stats", "bsort", "x"],
         ["gen", "knuth", "2", "--flip"],
+        ["--help"],
+        [],
+        ["frobnicate"],
+        ["gen", "bsort", "2", "--bogus"],
+        ["verify", "bsort", "2", "--bogus"],
+        ["apply", "bsort", "1", "--input=2,1", "--bogus"],
+        ["stats", "bsort", "2", "--bogus"],
     ]
+    calls += [[command, "--help"] for command in ("gen", "verify", "apply", "stats")]
     for name, data in MALFORMED:
         path = workdir / f"malformed-{name}.snet"
         path.write_bytes(data)
