@@ -18,7 +18,9 @@ number.
 Commands: ``gen`` writes a generated network as text or SVG, ``verify``
 decides the sorting property (exit 0 sorting, 1 counterexample, 2 usage
 or parse error), ``apply`` runs a network on a tuple of integers, and
-``stats`` prints layer/comparator counts.
+``stats`` prints layer/comparator counts.  ``COMMANDS`` names each once;
+a call that names a command builds the argument parser of that command
+only.
 """
 
 from __future__ import annotations
@@ -323,7 +325,7 @@ def _resolve_network(
 
 
 def _format_values(values) -> str:
-    return ",".join(str(int(v)) for v in values)
+    return ",".join(map(str, map(int, values)))
 
 
 def _print_report(report: VerificationReport) -> None:
@@ -404,26 +406,23 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sortnet",
-        description="Generate, run, inspect, and verify comparator sorting networks.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _source_argument(parser) -> None:
+    parser.add_argument("source", nargs="+", metavar="FILE|ALGO M")
 
-    gen = sub.add_parser("gen", help="generate a network and print or save it")
-    gen.add_argument("algorithm", choices=GENERATORS)
-    gen.add_argument("m", type=int, help="size exponent; the network has 2**m lines")
-    gen.add_argument(
+
+def _gen_arguments(parser) -> None:
+    parser.add_argument("algorithm", choices=GENERATORS)
+    parser.add_argument("m", type=int, help="size exponent; the network has 2**m lines")
+    parser.add_argument(
         "--flip", action="store_true", help="descending orientation (bfsort only)"
     )
-    gen.add_argument("--out", metavar="FILE", help="write to FILE instead of stdout")
-    gen.add_argument("--format", choices=("text", "svg"), default="text")
-    gen.set_defaults(run=_cmd_gen)
+    parser.add_argument("--out", metavar="FILE", help="write to FILE instead of stdout")
+    parser.add_argument("--format", choices=("text", "svg"), default="text")
 
-    ver = sub.add_parser("verify", help="decide whether a network sorts")
-    ver.add_argument("source", nargs="+", metavar="FILE|ALGO M")
-    mode = ver.add_mutually_exclusive_group()
+
+def _verify_arguments(parser) -> None:
+    _source_argument(parser)
+    mode = parser.add_mutually_exclusive_group()
     mode.add_argument(
         "--exhaustive",
         action="store_true",
@@ -435,31 +434,52 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="TRIALS",
         help="sampled check: permutations (small widths) plus TRIALS random tuples",
     )
-    ver.add_argument("--seed", type=int, default=0, help="seed for --oracle")
-    ver.set_defaults(run=_cmd_verify)
+    parser.add_argument("--seed", type=int, default=0, help="seed for --oracle")
 
-    app = sub.add_parser("apply", help="run a network on a tuple of integers")
-    app.add_argument("source", nargs="+", metavar="FILE|ALGO M")
-    app.add_argument(
+
+def _apply_arguments(parser) -> None:
+    _source_argument(parser)
+    parser.add_argument(
         "--input", required=True, metavar="V1,V2,...", help="comma-separated integers"
     )
-    app.set_defaults(run=_cmd_apply)
 
-    st = sub.add_parser("stats", help="print layer and comparator counts")
-    st.add_argument("source", nargs="+", metavar="FILE|ALGO M")
-    st.set_defaults(run=_cmd_stats)
 
+#: ``(help, add_arguments(parser), run(args))`` of each command.
+COMMANDS = {
+    "gen": ("generate a network and print or save it", _gen_arguments, _cmd_gen),
+    "verify": ("decide whether a network sorts", _verify_arguments, _cmd_verify),
+    "apply": ("run a network on a tuple of integers", _apply_arguments, _cmd_apply),
+    "stats": ("print layer and comparator counts", _source_argument, _cmd_stats),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser with the sub-parser of every command, or only of
+    ``command``, a key of ``COMMANDS``."""
+    parser = argparse.ArgumentParser(
+        prog="sortnet",
+        description="Generate, run, inspect, and verify comparator sorting networks.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in COMMANDS if command is None else (command,):
+        summary, add_arguments, _ = COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=summary))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        args, unrecognized = build_parser(command).parse_known_args(argv)
+        if unrecognized:
+            # The error names every command in its usage line; the full
+            # parser prints it and exits.
+            build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        return args.run(args)
+        return COMMANDS[args.command][2](args)
     except (CliError, SortnetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,6 @@
 """Text format round-trips, SVG rendering, and command-line behaviour."""
 
+import argparse
 import contextlib
 import io
 import os
@@ -525,6 +526,63 @@ def test_usage_errors_exit_2(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def count_parsers(monkeypatch):
+    """The ``prog`` of every ``ArgumentParser`` built from now on."""
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "bsort", "1"],
+        ["verify", "bsort", "1"],
+        ["apply", "bsort", "1", "--input=2,1"],
+        ["stats", "bsort", "1"],
+    ],
+)
+def test_a_call_builds_only_its_commands_parser(monkeypatch, capsys, argv):
+    built = count_parsers(monkeypatch)
+    assert main(argv) == 0
+    assert built == ["sortnet", f"sortnet {argv[0]}"]
+    capsys.readouterr()
+
+
+def test_help_and_errors_build_every_commands_parser(monkeypatch, capsys):
+    built = count_parsers(monkeypatch)
+    every = ["sortnet"] + [f"sortnet {name}" for name in cli.COMMANDS]
+    assert main(["--help"]) == 0
+    assert built == every
+    built.clear()
+    # The one-command parse leaves an argument over; the full parser
+    # reports it, naming every command.
+    assert main(["stats", "bsort", "1", "--bogus"]) == 2
+    assert built == ["sortnet", "sortnet stats"] + every
+    assert "{gen,verify,apply,stats}" in capsys.readouterr().err
+
+
+def test_build_parser_offers_every_command_or_the_one_named():
+    assert "{gen,verify,apply,stats}" in cli.build_parser().format_usage()
+    assert "{verify}" in cli.build_parser("verify").format_usage()
+    args = cli.build_parser().parse_args(["apply", "bsort", "1", "--input=2,1"])
+    assert (args.command, args.source, args.input) == ("apply", ["bsort", "1"], "2,1")
+
+
+def test_main_takes_any_iterable_of_strings(capsys):
+    assert main(("apply", "bsort", "1", "--input=2,1")) == 0
+    assert main(arg for arg in ["apply", "bsort", "1", "--input=2,1"]) == 0
+    assert main(iter(["stats", "bsort", "1", "--bogus"])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "1,2\n1,2\n"
+    assert "unrecognized arguments: --bogus" in captured.err
 
 
 def test_module_entry_point_runs():
