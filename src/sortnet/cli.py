@@ -148,7 +148,11 @@ def _decode_layer(
     builds the same connector, and it handles every other record.
     """
     tokens = body.split()
-    flags = list(map(str.endswith, tokens, repeat("!")))
+    # A record without "!" flips nothing: skip the per-token pass.
+    flags = (
+        list(map(str.endswith, tokens, repeat("!"))) if "!" in body
+        else [False] * len(tokens)
+    )
     fields = body.replace("-", " ").replace("!", "").split()
     # Exactly one dash in every token, with a name on each side of it, and
     # a "!" only as the last character of a token.

@@ -36,7 +36,10 @@ fixes its width and has one verdict.
 
 The product runs in mixed-radix order, the first block most
 significant, at most ``2**17`` elements at a time, so a chunk's lanes
-stay in cache.  The whole network, prefix included, runs on a chunk's
+stay in cache.  A kept block sorts into its chain order, so on a
+representative its prefix output is known: its ``d`` ones on the last
+``d`` lines of that order, in place of its last ``d`` lines.  Only the
+suffix and the prefix comparators of split blocks run on a chunk's
 representatives, and one walk over the lines from line 0 picks the
 smallest that comes out unsorted.  The leading blocks are constant
 within a chunk, which fixes its smallest input, and a chunk whose
@@ -146,39 +149,50 @@ def _components(width: int, layers: list) -> tuple[int, list[list[int]]]:
     """Cut after the longest prefix of ``layers`` whose comparators leave
     at least two connected components, and return the cut and those
     components: ascending lines, ordered by their lowest line."""
-
-    def root(parent, line):
-        while parent[line] != line:
-            line = parent[line]
-        return line
-
     parent, count, cut = list(range(width)), width, 0
     for pairs in layers:
-        trial, left = parent[:], count
+        # Union-find, each root the lowest line of its component.  A
+        # layer's joins are logged, to be undone if it leaves one component.
+        joined = []
         for i, j, _ in pairs:
-            a, b = root(trial, i), root(trial, j)
-            if a != b:
-                trial[max(a, b)] = min(a, b)
-                left -= 1
-        if left < 2:
+            while parent[i] != i:
+                i = parent[i]
+            while parent[j] != j:
+                j = parent[j]
+            if i > j:
+                i, j = j, i
+            if i != j:
+                parent[j] = i
+                joined.append(j)
+        if count - len(joined) < 2:
+            for j in joined:
+                parent[j] = j
             break
-        parent, count, cut = trial, left, cut + 1
+        count, cut = count - len(joined), cut + 1
     groups: dict[int, list[int]] = {}
     for line in range(width):
-        groups.setdefault(root(parent, line), []).append(line)
+        root = line
+        while parent[root] != root:
+            root = parent[root]
+        groups.setdefault(root, []).append(line)
     return cut, list(groups.values())
 
 
-def _sorting_blocks(width: int, layers: list, sorts: dict) -> list[list[int]]:
+def _sorting_blocks(width: int, layers: list, sorts: dict) -> tuple[list, list, list]:
     """The components of :func:`_components`, each that does not sort into
-    its chain order replaced by its lines.  ``sorts`` holds the check's
+    its chain order replaced by its lines, and how a representative runs
+    past the prefix: lane ``i`` enters the returned layers as input lane
+    ``source[i]``.  A kept block's prefix output is its input in chain
+    order, lane ``order[p]`` being input lane ``lines[p]``, so none of its
+    comparators run; the returned layers are the split groups' prefix
+    comparators, in order, then the suffix.  ``sorts`` holds the check's
     block verdicts, keyed by the block sub-network in chain order."""
     cut, groups = _components(width, layers)
     # The chain run of the module docstring: bit ``d`` of a lane is the
     # line's value on the network's own monotone input with ``d`` ones.
     chain = [(2 << width) - (1 << width - line) for line in range(width)]
     _run(chain, layers[:cut])
-    blocks = []
+    blocks, source, split = [], list(range(width)), set()
     for lines in groups:
         order = sorted(lines, key=chain.__getitem__)
         position = {line: p for p, line in enumerate(order)}
@@ -188,8 +202,15 @@ def _sorting_blocks(width: int, layers: list, sorts: dict) -> list[list[int]]:
         )
         if sub not in sorts:
             sorts[sub] = _first_failure(len(lines), sub, sorts) is None
-        blocks += [lines] if sorts[sub] else [[line] for line in lines]
-    return blocks
+        if sorts[sub]:
+            blocks.append(lines)
+            for line, start in zip(order, lines):
+                source[line] = start
+        else:
+            blocks += [[line] for line in lines]
+            split.update(lines)
+    prefix = [pair for pairs in layers[:cut] for pair in pairs if pair[0] in split]
+    return blocks, source, [prefix, *layers[cut:]]
 
 
 def _repeat(pattern: int, period: int, count: int) -> int:
@@ -218,19 +239,22 @@ def _first_failure(width: int, layers: list, sorts: dict) -> int | None:
     """Number of the lexicographically first input that ``layers`` leave
     unsorted on ``width`` lines, or None if they sort.
 
-    The network runs on the representatives of the product of its
-    prefix's blocks, each block decided by this same function unless
-    ``sorts`` holds its verdict.  Element ``e`` of the product is ``e`` in
-    mixed radix, the first block most significant, digit ``d`` of a block
-    on ``c`` lines running to ``c``; its representative gives that block's
-    last ``d`` lines a one.  A chunk spans the trailing blocks whose
-    radices multiply to at most ``2**_CHUNK_BITS``; the leading blocks are
-    constant within it, and one chunk's lanes live at a time.  A chunk
-    whose smallest input lies above a failure already found is skipped.
+    The representatives of the product of the prefix's blocks run through
+    the layers that :func:`_sorting_blocks` returns: the suffix, and the
+    prefix only on split blocks' lines, as a kept block's prefix output is
+    its input moved into chain order.  Each block is decided by this same
+    function unless ``sorts`` holds its verdict.  Element ``e`` of the
+    product is ``e`` in mixed radix, the first block most significant,
+    digit ``d`` of a block on ``c`` lines running to ``c``; its
+    representative gives that block's last ``d`` lines a one.  A chunk
+    spans the trailing blocks whose radices multiply to at most
+    ``2**_CHUNK_BITS``; the leading blocks are constant within it, and one
+    chunk's lanes live at a time.  A chunk whose smallest input lies above
+    a failure already found is skipped.
     """
     if width < 2:
         return None
-    blocks = _sorting_blocks(width, layers, sorts)
+    blocks, source, suffix = _sorting_blocks(width, layers, sorts)
     radices = [len(lines) + 1 for lines in blocks]
     split, size = len(blocks), 1
     while split and size * radices[split - 1] <= 1 << _CHUNK_BITS:
@@ -239,10 +263,12 @@ def _first_failure(width: int, layers: list, sorts: dict) -> int | None:
     base, period = [0] * width, size
     for radix, lines in zip(radices[split:], blocks[split:]):
         stride = period // radix
-        # The line ``d`` from the end is one from digit ``d`` on.
-        for d, line in enumerate(reversed(lines), 1):
-            run = (1 << period) - (1 << d * stride)
-            base[line] = _repeat(run, period, size // period)
+        # The line ``d`` from the end is one from digit ``d`` on: digit
+        # 1's lane shifted up by a digit ``d - 1`` times.
+        lane = one = _repeat((1 << period) - (1 << stride), period, size // period)
+        for line in reversed(lines):
+            base[line] = lane
+            lane = lane << stride & one
         period = stride
     # ``first`` starts above every input: nothing failed yet.
     ones, first = (1 << size) - 1, 1 << width
@@ -254,17 +280,18 @@ def _first_failure(width: int, layers: list, sorts: dict) -> int | None:
                 smallest |= 1 << width - 1 - line
         if smallest > first:
             continue
-        lanes = inputs[:]
-        _run(lanes, layers)
+        lanes = list(map(inputs.__getitem__, source))
+        _run(lanes, suffix)
+        # ``a ^ (a & b)`` is ``a & ~b`` without a complement of ``b``.
         unsorted = 0
         for a, b in zip(lanes, lanes[1:]):
-            unsorted |= a & ~b
+            unsorted |= a ^ (a & b)
         if unsorted:
             # The smallest unsorted representative, line 0 first: keep the
             # elements with a zero on a line whenever some have one.
             number = 0
             for lane in inputs:
-                zeros = unsorted & ~lane
+                zeros = unsorted ^ (unsorted & lane)
                 number = 2 * number + (not zeros)
                 unsorted = zeros or unsorted
             first = min(first, number)
@@ -274,10 +301,11 @@ def _first_failure(width: int, layers: list, sorts: dict) -> int | None:
 def check_sorting_exhaustive(network: Network) -> VerificationReport:
     """Decide the sorting property over all ``2**width`` boolean inputs.
 
-    The network runs on one representative input for each element of the
-    product of its prefix's blocks, a block that does not sort into its
-    chain order taken line by line (see the module docstring), a chunk of
-    at most ``2**_CHUNK_BITS`` elements at a time.  ``inputs_checked``
+    One representative input for each element of the product of the
+    prefix's blocks, a block that does not sort into its chain order
+    taken line by line, runs through the suffix and the split blocks'
+    prefix comparators (see the module docstring), a chunk of at most
+    ``2**_CHUNK_BITS`` elements at a time.  ``inputs_checked``
     says how many inputs the verdict covers: ``2**width`` on success,
     however few representatives ran, and on failure the inputs up to and
     including the lexicographically first unsorted one (False orders

@@ -227,7 +227,7 @@ def reduction_paths(network):
     """Which parts of the block reduction ``network`` takes."""
     layers = [layer.pairs() for layer in network.layers]
     cut, groups = verify._components(network.width, layers)
-    blocks = verify._sorting_blocks(network.width, layers, {})
+    blocks = verify._sorting_blocks(network.width, layers, {})[0]
     paths = set()
     if len(groups) < network.width == len(blocks):
         paths.add("decline")
@@ -345,8 +345,8 @@ def test_generators_and_flip_mutants_above_the_guard():
     # At width 32 the plain scan cannot run, so the verdicts are held to
     # what can be checked at any width: a counterexample replays unsorted,
     # and seeded random inputs find no failure below it, or none at all
-    # under "sorting".  A seeded third of the one-flip mutants keeps this
-    # to about a second, and each of them must fail.
+    # under "sorting".  A seeded two fifths of the one-flip mutants keeps
+    # this to about a second, and each of them must fail.
     rng = random.Random(32)
     variants = generator_variants(5)
     mutants = [
@@ -354,7 +354,7 @@ def test_generators_and_flip_mutants_above_the_guard():
     ]
     assert len(mutants) == 1102
     verdicts = {}
-    for name, net in list(variants.items()) + rng.sample(mutants, 370):
+    for name, net in list(variants.items()) + rng.sample(mutants, 440):
         first = verify._first_failure(32, [layer.pairs() for layer in net.layers], {})
         if net is variants[name]:
             verdicts[name] = first
@@ -391,9 +391,9 @@ def test_block_sorters_at_width_24_skip_the_plain_scan(monkeypatch):
     sorting_blocks, run = verify._sorting_blocks, verify._run
 
     def counted(width, layers, sorts):
-        blocks = sorting_blocks(width, layers, sorts)
-        runs.append((width, math.prod(len(lines) + 1 for lines in blocks)))
-        return blocks
+        found = sorting_blocks(width, layers, sorts)
+        runs.append((width, math.prod(len(lines) + 1 for lines in found[0])))
+        return found
 
     def narrow(lanes, layers):
         assert max(lanes, default=0).bit_length() <= 1 << verify._CHUNK_BITS
@@ -444,7 +444,7 @@ def test_non_sorter_whose_blocks_sort_fails_on_the_product_alone(monkeypatch):
 
     def counted(lanes, layers):
         if len(lanes) == 24:  # not a block's own check
-            runs.append(len(layers))
+            runs.append([pair for pairs in layers for pair in pairs])
         run(lanes, layers)
 
     monkeypatch.setattr(verify, "_run", counted)
@@ -457,11 +457,95 @@ def test_non_sorter_whose_blocks_sort_fails_on_the_product_alone(monkeypatch):
     chunk = 1
     while chunk * 3 <= 1 << verify._CHUNK_BITS:
         chunk *= 3
-    # One chain run of the prefix, then chunks of the whole network,
-    # prefix included.
-    cut = verify._components(24, [layer.pairs() for layer in mutant.layers])[0]
+    # One chain run of the prefix, then chunks of the layers that run on
+    # representatives: the suffix, after the prefix comparators of split
+    # blocks, of which there are none here.
+    layers = [layer.pairs() for layer in mutant.layers]
+    cut = verify._components(24, layers)[0]
+    prefix = [pair for pairs in layers[:cut] for pair in pairs]
+    suffix = [pair for pairs in layers[cut:] for pair in pairs]
     assert 0 < len(runs) - 1 <= -(-(3**12) // chunk)
-    assert runs == [cut] + [mutant.size] * (len(runs) - 1)
+    assert runs == [prefix] + [suffix] * (len(runs) - 1)
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_kept_blocks_run_no_prefix_comparator_on_a_chunk(monkeypatch, m):
+    # Every block of a generated network sorts into its chain order, so
+    # after the one chain run of the prefix, the network's own chunks run
+    # the suffix alone.  Block checks further down are not counted.
+    depth, runs = [], []
+    first_failure, run = verify._first_failure, verify._run
+
+    def nested(width, layers, sorts):
+        depth.append(width)
+        try:
+            return first_failure(width, layers, sorts)
+        finally:
+            depth.pop()
+
+    def counted(lanes, layers):
+        if len(depth) == 1:
+            runs.append([pair for pairs in layers for pair in pairs])
+        run(lanes, layers)
+
+    monkeypatch.setattr(verify, "_first_failure", nested)
+    monkeypatch.setattr(verify, "_run", counted)
+    for name, network in generator_variants(m).items():
+        layers = [layer.pairs() for layer in network.layers]
+        cut = verify._components(network.width, layers)[0]
+        runs.clear()
+        first = verify._first_failure(network.width, layers, {})
+        assert (first is None) == (name != "bfsort-flip")
+        prefix = [pair for pairs in layers[:cut] for pair in pairs]
+        suffix = [pair for pairs in layers[cut:] for pair in pairs]
+        assert prefix and suffix
+        assert len(runs) > 1
+        assert runs == [prefix] + [suffix] * (len(runs) - 1)
+
+
+def components_by_copy(width, layers):
+    """Reference for ``verify._components``: a union-find whose list is
+    copied for each layer and kept while two components are left."""
+
+    def root(parent, line):
+        while parent[line] != line:
+            line = parent[line]
+        return line
+
+    parent, count, cut = list(range(width)), width, 0
+    for pairs in layers:
+        trial, left = parent[:], count
+        for i, j, _ in pairs:
+            a, b = root(trial, i), root(trial, j)
+            if a != b:
+                trial[max(a, b)] = min(a, b)
+                left -= 1
+        if left < 2:
+            break
+        parent, count, cut = trial, left, cut + 1
+    groups = {}
+    for line in range(width):
+        groups.setdefault(root(parent, line), []).append(line)
+    return cut, list(groups.values())
+
+
+def test_components_match_a_union_find_copied_per_layer():
+    rng = random.Random(99)
+    networks = block_networks(99) + [
+        random_network(width, rng.randint(0, 6), rng)
+        for width in range(13) for _ in range(6)
+    ]
+    networks += [Network(2, (cswap(0, 1, 2),)), odd_even_transposition(9)]
+    networks += [generator_variants(m)["bfsort"] for m in range(5)]
+    cuts = collections.Counter()
+    for network in networks:
+        layers = [layer.pairs() for layer in network.layers]
+        cut, groups = verify._components(network.width, layers)
+        assert (cut, groups) == components_by_copy(network.width, layers)
+        # Where the first layer that would leave one component, and so is
+        # undone, was met: first, after others, or nowhere.
+        cuts["none" if cut == len(layers) else "first" if cut == 0 else "later"] += 1
+    assert cuts.keys() == {"none", "first", "later"}
 
 
 @pytest.mark.parametrize(
@@ -512,7 +596,8 @@ def test_blocks_are_read_in_chain_order_and_kept_when_their_count_decides(monkey
         network = rng.choice([nmerge, neomerge])(padded(a, depth), padded(b, depth))
         layers = [layer.pairs() for layer in network.layers]
         cut, groups = verify._components(network.width, layers)
-        blocks, block_subs = [], set()
+        blocks, block_subs, source = [], set(), list(range(network.width))
+        split = []
         for lines in groups:
             order = chain_order(layers[:cut], lines)
             kept = depends_on_count_only(block_sub_network(layers[:cut], lines))
@@ -521,7 +606,14 @@ def test_blocks_are_read_in_chain_order_and_kept_when_their_count_decides(monkey
             # sorts into its chain order; otherwise it becomes its lines.
             assert sorts_per_tuple(sub) == kept
             block_subs.add(sub)
-            blocks += [lines] if kept else [[line] for line in lines]
+            if kept:
+                blocks.append(lines)
+                # The block's prefix output: its input in chain order.
+                for line, start in zip(order, lines):
+                    source[line] = start
+            else:
+                blocks += [[line] for line in lines]
+                split += lines
             if len(lines) > 1:
                 seen[
                     "split" if not kept
@@ -530,7 +622,13 @@ def test_blocks_are_read_in_chain_order_and_kept_when_their_count_decides(monkey
                     else "relabelled"
                 ] += 1
         subs.clear()
-        assert verify._sorting_blocks(network.width, layers, {}) == blocks
+        found = verify._sorting_blocks(network.width, layers, {})
+        assert found[:2] == (blocks, source)
+        # Representatives run the split blocks' prefix comparators, then
+        # the suffix.
+        assert [pair for pairs in found[2] for pair in pairs] == [
+            pair for pairs in layers[:cut] for pair in pairs if pair[0] in split
+        ] + [pair for pairs in layers[cut:] for pair in pairs]
         assert set(subs) == block_subs
     assert seen.keys() == {"forwards", "backwards", "relabelled", "split"}
 
