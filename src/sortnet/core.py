@@ -42,20 +42,20 @@ _lines: tuple[int, ...] = ()
 def line_numbers(width: int) -> tuple[int, ...]:
     """The identity tuple ``(0, 1, ..., width - 1)``, from one shared store.
 
-    Every width up to ``2**MAX_EXPONENT`` gets a slice of one module-level
+    Widths 0 to ``2**MAX_EXPONENT`` get a slice of one module-level
     tuple, so line ``i`` is the same int object in all of them.  Link maps
     built by indexing these tuples allocate no line numbers, and the
     connector check meets identical objects.  The store grows to the
-    widest width asked for, never past ``2**MAX_EXPONENT`` entries (about
-    2.5 MB with their ints); a wider width gets a tuple of its own.
+    widest width asked for (at most about 2.5 MB with its ints); any other
+    width, a negative one too, gets a ``tuple(range(width))`` of its own.
     """
     global _lines
+    if not 0 <= width <= 1 << MAX_EXPONENT:
+        return tuple(range(width))
     # Slice the tuple read or built here: another thread may replace the
     # store in between, with an equal or a shorter one.
     lines = _lines
     if width > len(lines):
-        if width > 1 << MAX_EXPONENT:
-            return tuple(range(width))
         lines = _lines = lines + tuple(range(len(lines), width))
     return lines[:width]
 
@@ -64,16 +64,23 @@ class _Record:
     """Base of the record types: equality, hash, repr, immutability, and
     pickling and copying through the constructor.
 
-    A subclass names its fields, two or more, in ``__slots__`` and stores
-    them in ``__init__`` with ``object.__setattr__``.  Everything else
-    reads them through ``_values``, one getter built from ``__slots__``:
+    A subclass names its fields, two or more, in ``__slots__``, also its
+    ``__match_args__``.  Its ``__init__`` hands their values, in that
+    order, to ``_Record.__init__`` before any check, and ``_setters``, the
+    slots' own, store them.  The rest reads them through ``_values``:
     records of one class compare and hash as their field tuples.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
         cls._values = property(attrgetter(*cls.__slots__))
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __init__(self, *values):
+        for setter, value in zip(self._setters, values, strict=True):
+            setter(self, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -105,8 +112,8 @@ class Connector(_Record):
     statement that the comparator pairs are disjoint.  ``flip[i]`` selects
     the orientation of the comparator on ``{i, link[i]}``: clear means the
     lower-numbered line receives the minimum (the usual downward
-    comparator), set means it receives the maximum.  Partner lines always
-    carry the same flag.
+    comparator), set means it receives the maximum; a flag is set when it
+    is true.  Partner lines always carry the same flag.
 
     There is no unchecked way to build one of these: the constructor
     stores both maps as tuples and revalidates every invariant, so any
@@ -124,38 +131,33 @@ class Connector(_Record):
     per-line loop, which only names the first fault.
     """
 
-    __slots__ = __match_args__ = ("width", "link", "flip")
+    __slots__ = ("width", "link", "flip")
 
     def __init__(self, width: int, link: Iterable[int], flip: Iterable[bool]):
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "link", tuple(link))
-        object.__setattr__(self, "flip", tuple(flip))
-        if self.width < 0:
-            raise InvalidConnector(f"width must be nonnegative, got {self.width}")
-        if len(self.link) != self.width:
-            raise InvalidConnector(
-                f"link has {len(self.link)} entries for width {self.width}"
-            )
-        if len(self.flip) != self.width:
-            raise InvalidConnector(
-                f"flip has {len(self.flip)} entries for width {self.width}"
-            )
+        link, flip = tuple(link), tuple(flip)
+        super().__init__(width, link, flip)
+        if width < 0:
+            raise InvalidConnector(f"width must be nonnegative, got {width}")
+        if len(link) != width:
+            raise InvalidConnector(f"link has {len(link)} entries for width {width}")
+        if len(flip) != width:
+            raise InvalidConnector(f"flip has {len(flip)} entries for width {width}")
         try:
-            partner, flip = itemgetter(*self.link), self.flip
-            if partner(self.link) == line_numbers(self.width) and (
-                flip.count(flip[0]) == self.width or partner(flip) == flip
+            partner = itemgetter(*link)
+            if partner(link) == line_numbers(width) and (
+                flip.count(flip[0]) == width or partner(flip) == flip
             ):
                 return
         except (IndexError, TypeError):
             pass
-        for i, j in enumerate(self.link):
-            if not 0 <= j < self.width:
-                raise InvalidConnector(f"link[{i}] = {j} not in [0, {self.width})")
-            if self.link[j] != i:
+        for i, j in enumerate(link):
+            if not 0 <= j < width:
+                raise InvalidConnector(f"link[{i}] = {j} not in [0, {width})")
+            if link[j] != i:
                 raise InvalidConnector(
-                    f"link is not involutive at line {i}: {i} -> {j} -> {self.link[j]}"
+                    f"link is not involutive at line {i}: {i} -> {j} -> {link[j]}"
                 )
-            if self.flip[j] != self.flip[i]:
+            if flip[j] != flip[i]:
                 raise InvalidConnector(
                     f"flip differs across linked lines {i} and {j}"
                 )
@@ -216,17 +218,17 @@ class Connector(_Record):
 class Network(_Record):
     """An ordered sequence of connectors over a fixed number of lines."""
 
-    __slots__ = __match_args__ = ("width", "layers")
+    __slots__ = ("width", "layers")
 
     def __init__(self, width: int, layers: Iterable[Connector]):
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "layers", tuple(layers))
-        if self.width < 0:
-            raise WidthMismatch(f"width must be nonnegative, got {self.width}")
-        for pos, layer in enumerate(self.layers):
-            if layer.width != self.width:
+        layers = tuple(layers)
+        super().__init__(width, layers)
+        if width < 0:
+            raise WidthMismatch(f"width must be nonnegative, got {width}")
+        for pos, layer in enumerate(layers):
+            if layer.width != width:
                 raise WidthMismatch(
-                    f"layer {pos} has width {layer.width}, network has {self.width}"
+                    f"layer {pos} has width {layer.width}, network has {width}"
                 )
 
     @property
@@ -278,13 +280,13 @@ def _evaluate(
     comparators: list[tuple[tuple, tuple, list]], values: Sequence[V]
 ) -> list[V]:
     """Run compiled ``comparators`` on ``values``: the low line receives
-    the minimum and the high line the maximum, or the other way round when
-    the comparator is flipped.  Two equal values swap only under a flip."""
+    the minimum, or the maximum under a true flag: a pair swaps when
+    ``a <= b`` and its flag have the same truth, so ties swap only flipped."""
     out = list(values)
     for link, flip, lows in comparators:
         for i in lows:
             j = link[i]
             a, b = out[i], out[j]
-            if (a <= b) == flip[i]:
+            if (not a <= b) is (not flip[i]):
                 out[i], out[j] = b, a
     return out

@@ -89,11 +89,10 @@ _INT64_MAX = (1 << 63) - 1
 class Counterexample(_Record):
     """An input the network fails to sort, with the output it produced."""
 
-    __slots__ = __match_args__ = ("input", "output")
+    __slots__ = ("input", "output")
 
     def __init__(self, input: tuple, output: tuple):
-        object.__setattr__(self, "input", input)
-        object.__setattr__(self, "output", output)
+        super().__init__(input, output)
 
 
 class VerificationReport(_Record):
@@ -105,7 +104,7 @@ class VerificationReport(_Record):
     On failure ``counterexample`` holds the first offending input.
     """
 
-    __slots__ = __match_args__ = (
+    __slots__ = (
         "width", "inputs_checked", "mode", "is_sorting",
         "counterexample", "seed", "trials",
     )
@@ -115,23 +114,18 @@ class VerificationReport(_Record):
         counterexample: Counterexample | None = None,
         seed: int | None = None, trials: int | None = None,
     ):
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "inputs_checked", inputs_checked)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "is_sorting", is_sorting)
-        object.__setattr__(self, "counterexample", counterexample)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "trials", trials)
+        super().__init__(
+            width, inputs_checked, mode, is_sorting, counterexample, seed, trials
+        )
 
 
 class NetworkStats(_Record):
     """Layer and comparator counts of a network."""
 
-    __slots__ = __match_args__ = ("layers", "comparators")
+    __slots__ = ("layers", "comparators")
 
     def __init__(self, layers: int, comparators: int):
-        object.__setattr__(self, "layers", layers)
-        object.__setattr__(self, "comparators", comparators)
+        super().__init__(layers, comparators)
 
 
 def _input_tuple(number: int, width: int) -> tuple[bool, ...]:

@@ -252,13 +252,14 @@ def parse_text_spec(text: str) -> Network:
 
 def apply_spec(network: Network, values: Sequence[V]) -> tuple[V, ...]:
     """``network`` run on ``values`` layer by layer, visiting every line:
-    a comparator swaps its two values when ``(a <= b) == flip``."""
+    a comparator swaps its two values when ``a <= b`` and its flag have
+    the same truth."""
     out = list(values)
     for layer in network.layers:
         for i, j in enumerate(layer.link):
             if i < j:
                 a, b = out[i], out[j]
-                if (a <= b) == layer.flip[i]:
+                if bool(a <= b) == bool(layer.flip[i]):
                     out[i], out[j] = b, a
     return tuple(out)
 

@@ -36,11 +36,11 @@ from spec import check_connector_fields, map_values
 def minmax_rule(link, values, flip=None):
     """Reference semantics of one connector, written line by line: the
     lower end of every link takes the minimum, the upper the maximum, and
-    a set flip flag exchanges the two."""
+    a true flip flag exchanges the two."""
     flip = flip or (False,) * len(link)
     out = []
     for i, j in enumerate(link):
-        if (i <= j) != flip[i]:
+        if (i <= j) != bool(flip[i]):
             out.append(min(values[i], values[j]))
         else:
             out.append(max(values[i], values[j]))
@@ -163,12 +163,23 @@ def test_line_numbers_share_their_ints_up_to_the_guard(monkeypatch):
     low, high = line_numbers(300), line_numbers(600)
     assert low == tuple(range(300)) and high == tuple(range(600))
     assert all(map(operator.is_, low, high))
-    # Past 2**MAX_EXPONENT lines a width gets its own tuple: the store
-    # keeps what it holds.
+    # Past 2**MAX_EXPONENT lines, and below 0, a width gets its own tuple:
+    # the store keeps what it holds.
     monkeypatch.setattr(core, "MAX_EXPONENT", 9)
-    assert line_numbers(700) == tuple(range(700))
+    for width in (700, 512, 0, -1, -300, -600, -700):
+        assert line_numbers(width) == tuple(range(width))
     assert len(core._lines) == 600
-    assert line_numbers(512) == tuple(range(512))
+
+
+def test_a_record_stores_exactly_one_value_per_field():
+    class Pair(core._Record):
+        __slots__ = ("low", "high")
+
+    pair = Pair(1, 2)
+    assert (pair.low, pair.high) == (1, 2) and Pair.__match_args__ == ("low", "high")
+    for values in [(), (1,), (1, 2, 3)]:
+        with pytest.raises(ValueError):
+            Pair(*values)
 
 
 def test_line_numbers_from_racing_threads(monkeypatch):

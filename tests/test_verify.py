@@ -674,6 +674,57 @@ def test_exhaustive_early_failure_at_width_24():
     assert peak < 1 << 20
 
 
+#: Flags that are not bools, with their truth: a flag is set when it is true.
+FLAGS = {None: False, 0: False, "": False, 1: True, 2: True, "x": True}
+
+
+def with_flags(network, rng):
+    """``network`` with every flag replaced by one of ``FLAGS``: each
+    comparator's by one of the same truth, each free line's by any."""
+    layers = []
+    for layer in network.layers:
+        flip = [rng.choice(list(FLAGS)) for _ in range(network.width)]
+        for i, j, flipped in layer.pairs():
+            flip[i] = flip[j] = rng.choice([f for f in FLAGS if FLAGS[f] == flipped])
+        layers.append(Connector(network.width, layer.link, flip))
+    return Network(network.width, layers)
+
+
+def assert_verdicts_agree_and_replay(network):
+    """The exhaustive and the sampled verdicts agree, permutations deciding
+    up to ``MAX_PERMUTATION_WIDTH``, and each counterexample replays."""
+    reports = check_sorting_exhaustive(network), check_sorting_oracle(network, 0)
+    assert reports[0].is_sorting == reports[1].is_sorting
+    for report in reports:
+        if not report.is_sorting:
+            counterexample = report.counterexample
+            assert network.apply(counterexample.input) == counterexample.output
+            assert not is_sorted(counterexample.output)
+    return reports[0]
+
+
+@pytest.mark.parametrize("flag", list(FLAGS), ids=repr)
+def test_a_comparator_flag_is_read_by_its_truth(flag):
+    network = Network(2, [Connector(2, (1, 0), (flag, flag))])
+    report = assert_verdicts_agree_and_replay(network)
+    assert report.is_sorting is not FLAGS[flag]
+    out = (1, 0) if FLAGS[flag] else (0, 1)
+    assert network.apply((0, 1)) == network.apply((1, 0)) == out
+
+
+def test_random_networks_read_their_flags_by_truth():
+    rng = random.Random(21)
+    for _ in range(60):
+        width = rng.randint(0, 8)
+        plain = random_network(width, rng.randint(0, 2 * width), rng)
+        mixed = with_flags(plain, rng)
+        assert_verdicts_agree_and_replay(mixed)
+        assert check_sorting_exhaustive(mixed) == check_sorting_exhaustive(plain)
+        oracle = check_sorting_oracle(mixed, 5, 1)
+        assert oracle == check_sorting_oracle(plain, 5, 1)
+        assert oracle == check_sorting_oracle_spec(mixed, 5, 1)
+
+
 def test_oracle_runs_all_permutations_on_small_widths():
     report = check_sorting_oracle(batcher(2), trials=0)
     assert report.is_sorting
