@@ -208,16 +208,18 @@ MALFORMED = (
 
 # sha256 of cli_transcript: exit codes, stdout and stderr of every call.
 TRANSCRIPT_DIGEST = (
-    "d34462dfcf3f4729c1e1c89168f3eec00cc6acc0656406b6a9f9247f19a5aa25"
+    "f24a28af9d41a6ce29501f851467ddd54eced1a37da377fd5f5ef09a2a359c9e"
 )
 
 
 def transcript_calls(workdir):
     """``main`` argument lists: every command on every generator at m =
     0..4, four usage errors, argparse's help and errors (no arguments, an
-    unknown command, each command's ``--help`` and an unrecognized
-    argument to each command), and ``verify`` on the malformed files,
-    which are written to ``workdir``."""
+    unknown command, each command's ``--help``, an unrecognized argument
+    to each command, a missing positional, a missing ``--input``, an
+    invalid int, two exclusive options and an option value that looks
+    like a negative number), two abbreviated options, and ``verify`` on
+    the malformed files, which are written to ``workdir``."""
     calls = []
     for m in range(5):
         for name, *flag in (["bsort"], ["bfsort"], ["bfsort", "--flip"],
@@ -245,6 +247,13 @@ def transcript_calls(workdir):
         ["verify", "bsort", "2", "--bogus"],
         ["apply", "bsort", "1", "--input=2,1", "--bogus"],
         ["stats", "bsort", "2", "--bogus"],
+        ["verify"],
+        ["apply", "bsort", "1"],
+        ["gen", "bsort", "x"],
+        ["verify", "bsort", "2", "--exhaustive", "--oracle", "3"],
+        ["apply", "bsort", "1", "--input", "-5,3"],
+        ["verify", "bsort", "2", "--exh"],
+        ["gen", "bsort", "1", "--form", "svg"],
     ]
     calls += [[command, "--help"] for command in ("gen", "verify", "apply", "stats")]
     for name, data in MALFORMED:
