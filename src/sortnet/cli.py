@@ -18,9 +18,12 @@ number.
 Commands: ``gen`` writes a generated network as text or SVG, ``verify``
 decides the sorting property (exit 0 sorting, 1 counterexample, 2 usage
 or parse error), ``apply`` runs a network on a tuple of integers, and
-``stats`` prints layer/comparator counts.  ``COMMANDS`` names each once;
-a call that names a command builds the argument parser of that command
-only.
+``stats`` prints layer/comparator counts.  ``COMMANDS`` names each once.
+A call that names a command builds the argument parser of that command
+only, the one ``build_parser`` adds as its sub-parser, and parses the
+arguments after the name with it.  Help, no arguments, an unknown
+command and arguments left over go through the full ``build_parser()``,
+whose help and errors name every command.
 """
 
 from __future__ import annotations
@@ -457,33 +460,40 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI's parser with the sub-parser of every command, or only of
-    ``command``, a key of ``COMMANDS``."""
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, with the sub-parser of every command."""
     parser = argparse.ArgumentParser(
         prog="sortnet",
         description="Generate, run, inspect, and verify comparator sorting networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS if command is None else (command,):
-        summary, add_arguments, _ = COMMANDS[name]
+    for name, (summary, add_arguments, _) in COMMANDS.items():
         add_arguments(sub.add_parser(name, help=summary))
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args, unrecognized = build_parser(command).parse_known_args(argv)
-        if unrecognized:
-            # The error names every command in its usage line; the full
-            # parser prints it and exits.
-            build_parser().parse_args(argv)
+        if argv and argv[0] in COMMANDS:
+            name = argv[0]
+            # The parser that ``build_parser`` adds for this command, alone.
+            parser = argparse.ArgumentParser(prog=f"sortnet {name}")
+            COMMANDS[name][1](parser)
+            args, unrecognized = parser.parse_known_args(argv[1:])
+            if unrecognized:
+                # The error names every command in its usage line; the full
+                # parser prints it and exits.
+                build_parser().parse_args(argv)
+        else:
+            # Help, no arguments or an unknown command: the full parser
+            # prints argparse's help or error, naming every command.
+            args = build_parser().parse_args(argv)
+            name = args.command
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        return COMMANDS[args.command][2](args)
+        return COMMANDS[name][2](args)
     except (CliError, SortnetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -68,12 +68,16 @@ class _Record:
     ``__match_args__``.  Its ``__init__`` hands their values, in that
     order, to ``_Record.__init__`` before any check, and ``_setters``, the
     slots' own, store them.  The rest reads them through ``_values``:
-    records of one class compare and hash as their field tuples.
+    records of one class compare and hash as their field tuples.  A
+    subclass of a record with empty ``__slots__`` adds no field and keeps
+    its parent's ``__match_args__``, ``_values`` and ``_setters``.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
+        if not cls.__slots__:
+            return
         cls.__match_args__ = cls.__slots__
         cls._values = property(attrgetter(*cls.__slots__))
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
@@ -91,7 +95,7 @@ class _Record:
         return hash(self._values)
 
     def __repr__(self):
-        fields = map("{}={!r}".format, self.__slots__, self._values)
+        fields = map("{}={!r}".format, self.__match_args__, self._values)
         return f"{type(self).__qualname__}({', '.join(fields)})"
 
     def __setattr__(self, name, value):
@@ -113,7 +117,7 @@ class Connector(_Record):
     the orientation of the comparator on ``{i, link[i]}``: clear means the
     lower-numbered line receives the minimum (the usual downward
     comparator), set means it receives the maximum; a flag is set when it
-    is true.  Partner lines always carry the same flag.
+    is true.  Partner lines always carry flags of the same truth.
 
     There is no unchecked way to build one of these: the constructor
     stores both maps as tuples and revalidates every invariant, so any
@@ -128,7 +132,8 @@ class Connector(_Record):
     would index from the end, so ``link[width + j] == k``, and then
     ``link[link[width + j]] == j`` differs from ``width + j``.  A map that
     fails the check, or has fewer than two entries, goes through the
-    per-line loop, which only names the first fault.
+    per-line loop, which accepts partner flags that differ but have the
+    same truth, such as ``2`` and ``True``, and names the first fault.
     """
 
     __slots__ = ("width", "link", "flip")
@@ -157,7 +162,7 @@ class Connector(_Record):
                 raise InvalidConnector(
                     f"link is not involutive at line {i}: {i} -> {j} -> {link[j]}"
                 )
-            if flip[j] != flip[i]:
+            if (not flip[j]) is not (not flip[i]):
                 raise InvalidConnector(
                     f"flip differs across linked lines {i} and {j}"
                 )

@@ -191,7 +191,7 @@ def check_connector_fields(width: int, link: Sequence, flip: Sequence) -> None:
             raise InvalidConnector(
                 f"link is not involutive at line {i}: {i} -> {j} -> {link[j]}"
             )
-        if flip[j] != flip[i]:
+        if bool(flip[j]) != bool(flip[i]):
             raise InvalidConnector(f"flip differs across linked lines {i} and {j}")
 
 

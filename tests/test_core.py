@@ -101,6 +101,17 @@ def test_raw_constructor_rejects_broken_fields():
         Connector(-1, (), ())
 
 
+@pytest.mark.parametrize("flags", [(2, True), (None, 0), ("x", 1)])
+def test_partner_flags_of_the_same_truth_are_accepted(flags):
+    assert Connector(2, (1, 0), flags).flip == flags
+
+
+def test_partner_flags_of_different_truth_are_rejected():
+    with pytest.raises(InvalidConnector) as raised:
+        Connector(2, (1, 0), (0, True))
+    assert str(raised.value) == "flip differs across linked lines 0 and 1"
+
+
 @st.composite
 def connector_fields(draw):
     """Raw ``(width, link, flip)`` for widths 0..9: a valid connector, or a

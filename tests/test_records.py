@@ -191,3 +191,21 @@ def test_records_keep_tuples_of_what_they_checked():
     assert joined.layers == (layer, layer)
     # A tuple is stored as given, so shared line numbers stay shared.
     assert Connector(4, twin.link, twin.flip).link is twin.link
+
+
+class PlainConnector(Connector):
+    """A record subclass that adds no field; module level, so it pickles."""
+
+    __slots__ = ()
+
+
+def test_a_subclass_that_adds_no_field_keeps_its_parents():
+    record = PlainConnector(3, (1, 0, 2), (True, True, False))
+    assert (record.width, record.link, record.flip) == CASES[Connector][1]
+    assert repr(record) == CASES[Connector][3].replace("Connector", "PlainConnector")
+    assert PlainConnector.__match_args__ == ("width", "link", "flip")
+    with pytest.raises(InvalidConnector):
+        PlainConnector(2, (1, 0), (True, False))
+    assert record != LAYER and LAYER != record
+    clone = pickle.loads(pickle.dumps(record))
+    assert type(clone) is PlainConnector and clone == record
