@@ -208,14 +208,16 @@ MALFORMED = (
 
 # sha256 of cli_transcript: exit codes, stdout and stderr of every call.
 TRANSCRIPT_DIGEST = (
-    "f24a28af9d41a6ce29501f851467ddd54eced1a37da377fd5f5ef09a2a359c9e"
+    "dbbf0e737b6667b66961d542a64faccbff2ed01be5eefa47c47e959a172d92bc"
 )
 
 
 def transcript_calls(workdir):
     """``main`` argument lists: every command on every generator at m =
-    0..4, four usage errors, argparse's help and errors (no arguments, an
-    unknown command, each command's ``--help``, an unrecognized argument
+    0..4, six usage errors (an ``--out`` path that cannot be opened and a
+    negative ``--oracle`` among them), argparse's help and errors (no
+    arguments, an unknown command, a first word ``--`` that is no
+    command, each command's ``--help``, an unrecognized argument
     to each command, a missing positional, a missing ``--input``, an
     invalid int, two exclusive options and an option value that looks
     like a negative number), two abbreviated options, and ``verify`` on
@@ -254,6 +256,9 @@ def transcript_calls(workdir):
         ["apply", "bsort", "1", "--input", "-5,3"],
         ["verify", "bsort", "2", "--exh"],
         ["gen", "bsort", "1", "--form", "svg"],
+        ["gen", "bsort", "2", "--out", str(workdir / "missing" / "x.snet")],
+        ["verify", "bsort", "1", "--oracle", "-1"],
+        ["--", "verify", "bsort", "1"],
     ]
     calls += [[command, "--help"] for command in ("gen", "verify", "apply", "stats")]
     for name, data in MALFORMED:
