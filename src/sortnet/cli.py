@@ -11,9 +11,10 @@ record lists its comparator pairs ascending by lower line, ``!`` marking
 a flipped (max-up) comparator.  Unconnected lines are implicit, so the
 format cannot express a broken link map.  Parsing decodes a record's line
 names by table lookup and builds its connector through the ordinary,
-checking constructor.  A record the tables do not decode is read again
-token by token, which only names the fault, with the offending line
-number.
+checking constructor.  A record the table does not decode is read again
+token by token.  That reading accepts line names with leading zeros
+(``00-1`` joins lines 0 and 1), and names the fault of any other such
+record with the offending line number.
 
 Commands: ``gen`` writes a generated network as text or SVG, ``verify``
 decides the sorting property (exit 0 sorting, 1 counterexample, 2 usage
@@ -66,7 +67,7 @@ class NetworkParseError(SortnetError):
         self.line_number = line_number
 
 
-class CliError(Exception):
+class CliError(SortnetError):
     """Usage-level problem; maps to exit status 2."""
 
 
@@ -214,23 +215,6 @@ _SVG_SUB_GAP = 10
 _SVG_DOT_RADIUS = 3
 
 
-def _link_offsets(pairs) -> list[int]:
-    # Overlapping links within a layer shift right so they stay readable:
-    # one step right of the rightmost earlier link they overlap.  Pairs
-    # come ascending by low line, so an earlier link overlaps exactly when
-    # it reaches this low line, and once it does not it overlaps no later
-    # link.  ``reach`` holds the high lines of the open links, the one at
-    # position k drawn at offset k.
-    reach: list[int] = []
-    offsets = []
-    for low, high, _ in pairs:
-        while reach and reach[-1] < low:
-            reach.pop()
-        offsets.append(len(reach))
-        reach.append(high)
-    return offsets
-
-
 def render_svg(network: Network) -> str:
     """Draw a network: horizontal wires, one column of links per layer.
 
@@ -239,19 +223,42 @@ def render_svg(network: Network) -> str:
     endpoints.  The layout is deterministic.
     """
     width = network.width
-
-    columns = []  # (x, pairs, offsets)
+    y = [_SVG_MARGIN_Y + line * _SVG_LINE_GAP for line in range(width)]
+    groups = []  # drawn after the header and wires, which need the final width
     x = _SVG_MARGIN_X
-    for layer in network.layers:
-        pairs = layer.pairs()
-        offsets = _link_offsets(pairs)
-        columns.append((x, pairs, offsets))
-        x += _SVG_LAYER_GAP + max(offsets, default=0) * _SVG_SUB_GAP
+    for index, layer in enumerate(network.layers):
+        groups.append(
+            f'<g class="layer" data-index="{index}" stroke="black" '
+            'stroke-width="1.5" fill="black">'
+        )
+        # Overlapping links within a layer shift right so they stay
+        # readable: one step right of the rightmost earlier link they
+        # overlap.  Pairs come ascending by low line, so an earlier link
+        # overlaps exactly when it reaches this low line, and once it does
+        # not it overlaps no later link.  ``reach`` holds the high lines of
+        # the open links, the one at position k drawn at offset k.
+        reach: list[int] = []
+        right = x  # the x of the rightmost link so far
+        for low, high, flipped in layer.pairs():
+            while reach and reach[-1] < low:
+                reach.pop()
+            cx = x + len(reach) * _SVG_SUB_GAP
+            if cx > right:
+                right = cx
+            reach.append(high)
+            # Flipped: the arrowhead marks the upper line, which gets the maximum.
+            start, end = (high, low) if flipped else (low, high)
+            marker = ' marker-end="url(#flip-arrow)"' if flipped else ""
+            groups += (
+                f'<circle cx="{cx}" cy="{y[low]}" r="{_SVG_DOT_RADIUS}"/>',
+                f'<circle cx="{cx}" cy="{y[high]}" r="{_SVG_DOT_RADIUS}"/>',
+                f'<line class="link" x1="{cx}" y1="{y[start]}" '
+                f'x2="{cx}" y2="{y[end]}"{marker}/>',
+            )
+        groups.append("</g>")
+        x = right + _SVG_LAYER_GAP
     total_w = x + _SVG_MARGIN_X
     total_h = 2 * _SVG_MARGIN_Y + max(width - 1, 0) * _SVG_LINE_GAP
-
-    y = [_SVG_MARGIN_Y + line * _SVG_LINE_GAP for line in range(width)]
-
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{total_w}" '
@@ -268,27 +275,7 @@ def render_svg(network: Network) -> str:
             f'<line class="wire" x1="10" y1="{y[line]}" '
             f'x2="{total_w - 10}" y2="{y[line]}"/>'
         )
-    parts.append("</g>")
-    for index, (base_x, pairs, offsets) in enumerate(columns):
-        parts.append(
-            f'<g class="layer" data-index="{index}" stroke="black" '
-            'stroke-width="1.5" fill="black">'
-        )
-        for (low, high, flipped), offset in zip(pairs, offsets):
-            cx = base_x + offset * _SVG_SUB_GAP
-            for line in (low, high):
-                parts.append(
-                    f'<circle cx="{cx}" cy="{y[line]}" r="{_SVG_DOT_RADIUS}"/>'
-                )
-            # Flipped: the arrowhead marks the upper line, which gets the maximum.
-            start, end = (high, low) if flipped else (low, high)
-            marker = ' marker-end="url(#flip-arrow)"' if flipped else ""
-            parts.append(
-                f'<line class="link" x1="{cx}" y1="{y[start]}" '
-                f'x2="{cx}" y2="{y[end]}"{marker}/>'
-            )
-        parts.append("</g>")
-    parts.append("</svg>")
+    parts += ["</g>", *groups, "</svg>"]
     return "\n".join(parts) + "\n"
 
 
@@ -475,26 +462,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        if argv and argv[0] in COMMANDS:
-            name = argv[0]
+        name = argv[0] if argv else None
+        if name in COMMANDS:
             # The parser that ``build_parser`` adds for this command, alone.
             parser = argparse.ArgumentParser(prog=f"sortnet {name}")
             COMMANDS[name][1](parser)
-            args, unrecognized = parser.parse_known_args(argv[1:])
-            if unrecognized:
-                # The error names every command in its usage line; the full
-                # parser prints it and exits.
-                build_parser().parse_args(argv)
-        else:
-            # Help, no arguments or an unknown command: the full parser
-            # prints argparse's help or error, naming every command.
+            args, leftover = parser.parse_known_args(argv[1:])
+        if name not in COMMANDS or leftover:
+            # Help, no arguments, an unknown command or arguments left
+            # over: the full parser prints argparse's help or error, which
+            # names every command.
             args = build_parser().parse_args(argv)
             name = args.command
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         return COMMANDS[name][2](args)
-    except (CliError, SortnetError) as exc:
+    except SortnetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -80,6 +80,8 @@ def test_from_pairs_rejects_out_of_range():
         Connector.from_pairs(4, [(-1, 2)])
     with pytest.raises(IndexOutOfRange):
         Connector.from_pairs(0, [(0, 1)])
+    with pytest.raises(InvalidConnector, match="^width must be nonnegative, got -1$"):
+        Connector.from_pairs(-1, [(0, 1)])
 
 
 def test_from_pairs_order_insensitive():
@@ -312,11 +314,15 @@ def test_network_sorts_like_builtin_sorted():
 def test_network_rejects_mismatched_layer():
     with pytest.raises(WidthMismatch):
         Network(4, (Connector.identity(3),))
+    with pytest.raises(WidthMismatch):
+        Network(-1, ())
 
 
 def test_network_concatenation_checks_width():
     with pytest.raises(WidthMismatch):
         Network(2, ()) + Network(3, ())
+    with pytest.raises(TypeError):  # by way of NotImplemented
+        Network(2, ()) + 1
 
 
 def test_map_values_examples():

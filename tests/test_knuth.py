@@ -76,6 +76,10 @@ def test_knuth_jump_rec_layer_count_and_jumps():
     net = knuth_jump_rec(16, 3, 7)
     assert net.size == 3
     assert net.layers == (codd_jump(7, 16), codd_jump(3, 16), codd_jump(1, 16))
+    with pytest.raises(ZeroWidth):
+        knuth_jump_rec(0, 1, 1)
+    with pytest.raises(ValueError):
+        knuth_jump_rec(4, 1, -1)
 
 
 def test_knuth_exchange_base_case():
