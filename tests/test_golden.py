@@ -206,9 +206,19 @@ MALFORMED = (
     ("non-utf8", b"snet 1 4\nlayer: 0-1 \xff\xfe\n"),
 )
 
+# Files that take each branch of the record reader: a name with a leading
+# zero, flips, a blank row and an empty record, and three faults.
+READER = (
+    ("leading-zero", b"snet 1 4\nlayer: 00-1 2-03\n"),
+    ("flips-and-gaps", b"snet 1 4\nlayer: 0-1! 2-3\n\nlayer:\nlayer: 1-2!\n"),
+    ("inner-flip", b"snet 1 4\nlayer: 0!-1\n"),
+    ("two-dashes", b"snet 1 4\nlayer: 0-1-2 3\n"),
+    ("comment", b"snet 1 4\n# note\n"),
+)
+
 # sha256 of cli_transcript: exit codes, stdout and stderr of every call.
 TRANSCRIPT_DIGEST = (
-    "dbbf0e737b6667b66961d542a64faccbff2ed01be5eefa47c47e959a172d92bc"
+    "417fc314d65c6f82c1cd7a342d7d27271684f122be6f882837bb914b8ce5d341"
 )
 
 
@@ -220,8 +230,10 @@ def transcript_calls(workdir):
     command, each command's ``--help``, an unrecognized argument
     to each command, a missing positional, a missing ``--input``, an
     invalid int, two exclusive options and an option value that looks
-    like a negative number), two abbreviated options, and ``verify`` on
-    the malformed files, which are written to ``workdir``."""
+    like a negative number), two abbreviated options, ``verify`` on the
+    malformed files and the reader's files, and ``apply`` and ``stats``
+    on the file with a leading zero; the files are written to
+    ``workdir``."""
     calls = []
     for m in range(5):
         for name, *flag in (["bsort"], ["bfsort"], ["bfsort", "--flip"],
@@ -265,6 +277,15 @@ def transcript_calls(workdir):
         path = workdir / f"malformed-{name}.snet"
         path.write_bytes(data)
         calls.append(["verify", str(path)])
+    for name, data in READER:
+        path = workdir / f"reader-{name}.snet"
+        path.write_bytes(data)
+        calls.append(["verify", str(path)])
+    leading_zero = str(workdir / "reader-leading-zero.snet")
+    calls += [
+        ["apply", leading_zero, "--input=3,2,1,0"],
+        ["stats", leading_zero],
+    ]
     return calls
 
 
