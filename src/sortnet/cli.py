@@ -9,12 +9,13 @@ Text format, one connector per line::
 The header carries a format version and the line count; each ``layer:``
 record lists its comparator pairs ascending by lower line, ``!`` marking
 a flipped (max-up) comparator.  Unconnected lines are implicit, so the
-format cannot express a broken link map.  Parsing decodes a record's line
-names by table lookup and builds its connector through the ordinary,
-checking constructor.  A record the table does not decode is read again
-token by token.  That reading accepts line names with leading zeros
-(``00-1`` joins lines 0 and 1), and names the fault of any other such
-record with the offending line number.
+format cannot express a broken link map.  One function reads each
+record: it splits the record once and decodes its line names by one
+table lookup when every token is canonical, or else reads the same
+tokens one at a time.  That reading accepts line names with leading
+zeros (``00-1`` joins lines 0 and 1), and names the first fault of any
+other record with the offending line number.  Either way the connector
+is built through the ordinary, checking constructor.
 
 Commands: ``gen`` writes a generated network as text or SVG, ``verify``
 decides the sorting property (exit 0 sorting, 1 counterexample, 2 usage
@@ -98,7 +99,7 @@ def parse_text(text: str) -> Network:
     Inverse of :func:`render_text` on its outputs.  Raises
     :class:`NetworkParseError` with a line number on any malformed
     content; no partially built network ever escapes.  The name table
-    of :func:`_decode_layer` is built once per file, at its first
+    of :func:`_parse_layer` is built once per file, at its first
     ``layer:`` record.
     """
     rows = text.splitlines()
@@ -130,26 +131,24 @@ def parse_text(text: str) -> Network:
             continue
         if not row.startswith("layer:"):
             raise NetworkParseError(number, f"expected 'layer:' record, got {row!r}")
-        body = row[len("layer:") :]
         if line_of is None:
             lines = line_numbers(width)
             line_of = dict(zip(map(str, lines), lines))
-        layer = _decode_layer(lines, line_of, body)
-        layers.append(layer or _parse_layer(width, number, body))
+        layers.append(_parse_layer(lines, line_of, number, row[len("layer:") :]))
     return Network(width, layers)
 
 
-def _decode_layer(
-    lines: tuple[int, ...], line_of: dict[str, int], body: str
-) -> Connector | None:
-    """The connector of a ``layer:`` record's ``body`` decoded by table, or
-    None when the record is not in the canonical form this decodes.
+def _parse_layer(
+    lines: tuple[int, ...], line_of: dict[str, int], number: int, body: str
+) -> Connector:
+    """The connector of the ``layer:`` record ``body`` on file line ``number``;
+    raises :class:`NetworkParseError` naming the first fault.
 
     ``lines`` is ``line_numbers(width)`` and ``line_of`` maps ``str(i)`` to
-    ``i`` for each of them.  A record is accepted only when every token is
-    ``str(i)-str(j)`` or ``str(i)-str(j)!`` with ``i, j < width`` and all
-    its lines are distinct; :func:`_parse_layer` accepts such a record and
-    builds the same connector, and it handles every other record.
+    ``i`` for each of them.  When every token is ``str(i)-str(j)`` or
+    ``str(i)-str(j)!`` over distinct lines, the names are decoded by the
+    table.  Any other record is read token by token, which builds the same
+    connector from names with leading zeros (``00-1``).
     """
     tokens = body.split()
     # A record without "!" flips nothing: skip the per-token pass.
@@ -158,34 +157,25 @@ def _decode_layer(
         else [False] * len(tokens)
     )
     fields = body.replace("-", " ").replace("!", "").split()
-    # Exactly one dash in every token, with a name on each side of it, and
-    # a "!" only as the last character of a token.
-    if not (
-        len(fields) == 2 * len(tokens) == 2 * body.count("-")
+    try:
+        names = list(map(line_of.__getitem__, fields))
+    except KeyError:  # a name the table lacks: decode none
+        names = []
+    # Exactly one dash in every token, with a name on each side of it, a
+    # "!" only as the last character of a token, and every name decoded to
+    # a line of its own.
+    if (
+        len(set(names)) == len(fields) == 2 * len(tokens) == 2 * body.count("-")
         and body.count("!") == sum(flags)
         and all(map(contains, tokens, repeat("-")))
     ):
-        return None
-    try:
-        lows = list(map(line_of.__getitem__, fields[0::2]))
-        highs = list(map(line_of.__getitem__, fields[1::2]))
-    except KeyError:
-        return None
-    if len(set(lows + highs)) != 2 * len(lows):
-        return None
-    link, flip = list(lines), [False] * len(lines)
-    for low, high, flipped in zip(lows, highs, flags):
-        link[low], link[high] = high, low
-        flip[low] = flip[high] = flipped
-    return Connector(len(lines), link, flip)
-
-
-def _parse_layer(width: int, number: int, body: str) -> Connector:
-    """The connector of a ``layer:`` record's ``body``, read token by token;
-    raises :class:`NetworkParseError` naming the first fault."""
+        link, flip = list(lines), [False] * len(lines)
+        for low, high, flipped in zip(names[0::2], names[1::2], flags):
+            link[low], link[high] = high, low
+            flip[low] = flip[high] = flipped
+        return Connector(len(lines), link, flip)
     pairs = []
-    for token in body.split():
-        flipped = token.endswith("!")
+    for token, flipped in zip(tokens, flags):
         token_body = token[:-1] if flipped else token
         low_text, dash, high_text = token_body.partition("-")
         if (
@@ -202,7 +192,7 @@ def _parse_layer(width: int, number: int, body: str) -> Connector:
                 number, "comparator index has too many digits"
             ) from None
     try:
-        return Connector.from_pairs(width, pairs)
+        return Connector.from_pairs(len(lines), pairs)
     except SortnetError as exc:
         raise NetworkParseError(number, str(exc)) from exc
 

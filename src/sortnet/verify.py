@@ -61,7 +61,7 @@ import random
 from operator import lt
 
 from .core import Network, _Record, _comparators, _evaluate
-from .errors import WidthTooLarge
+from .errors import SortnetError, WidthTooLarge
 
 #: Exhaustive enumeration guard: 2**24 boolean inputs is the most this
 #: module will grind through; use the sampled oracle beyond that.  Lane
@@ -329,8 +329,11 @@ def check_sorting_oracle(
     Runs every permutation of ``range(width)`` when the width allows,
     then ``trials`` seeded random signed 64-bit tuples, through one
     compiled comparator list.  Each output must be a sorted permutation
-    of its input.  Identical seeds give identical reports.
+    of its input.  Identical seeds give identical reports.  A negative
+    ``trials`` raises :class:`SortnetError`.
     """
+    if trials < 0:
+        raise SortnetError(f"trials must be nonnegative, got {trials}")
     width = network.width
     rng = random.Random(seed)
     randoms = (

@@ -75,6 +75,13 @@ def test_parse_reports_line_numbers():
         parse_text("snet 1 4\nconnector: 0-1\n")
 
 
+def test_parse_builds_no_name_table_without_a_record(monkeypatch):
+    # The name table costs ``width`` entries, which a file without a
+    # ``layer:`` record never uses.
+    monkeypatch.setattr(cli, "line_numbers", None)
+    assert parse_text("snet 1 65536\n\n") == Network(65536, ())
+
+
 # Rows of a ``layer:`` record: line names with and without leading zeros,
 # dashes, marks and the separators ``str.split`` and ``str.splitlines``
 # treat specially, either loose or arranged as comparator tokens.

@@ -1,0 +1,32 @@
+"""Smoke tests of the scripts in ``tools/``: each runs in a subprocess,
+exits 0 and prints its first row.
+
+``tools/engine.py`` calls the private ``verify._first_failure``, so a
+change of that signature breaks the tool without failing any other test.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+@pytest.mark.parametrize(
+    ("argv", "first_row"),
+    [
+        (["loc.py"], "__init__.py "),
+        (["engine.py", "-n", "1", "3"], "network       m        ms"),
+        (["startup.py", "1"], "median of 1 fresh interpreters"),
+    ],
+    ids=["loc", "engine", "startup"],
+)
+def test_tool_runs(argv, first_row):
+    proc = subprocess.run(
+        [sys.executable, str(TOOLS / argv[0]), *argv[1:]],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(first_row), proc.stdout

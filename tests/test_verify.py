@@ -15,7 +15,7 @@ from sortnet.batcher import batcher
 from sortnet.bitonic import bfsort, bsort
 from sortnet.combinators import cswap, neomerge, nmerge
 from sortnet.core import Connector, Network
-from sortnet.errors import WidthTooLarge
+from sortnet.errors import SortnetError, WidthTooLarge
 from sortnet.knuth import knuth_exchange
 from sortnet.verify import check_sorting_exhaustive, check_sorting_oracle, network_stats
 from spec import (
@@ -742,6 +742,9 @@ def test_oracle_vacuous_beyond_permutation_width():
     report = check_sorting_oracle(Network(9, ()), trials=0)
     assert report.is_sorting
     assert report.inputs_checked == 0
+    # A negative count is refused, not read as a vacuous check.
+    with pytest.raises(SortnetError, match="trials must be nonnegative, got -3"):
+        check_sorting_oracle(bsort(4), -3)
 
 
 def test_oracle_random_trials_catch_wide_identity():
