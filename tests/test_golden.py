@@ -218,16 +218,19 @@ READER = (
 
 # sha256 of cli_transcript: exit codes, stdout and stderr of every call.
 TRANSCRIPT_DIGEST = (
-    "417fc314d65c6f82c1cd7a342d7d27271684f122be6f882837bb914b8ce5d341"
+    "b38ada1bdf75cc14ac05aaf77d1d3b11a71ff970694bc289892fdf4508b3e349"
 )
 
 
 def transcript_calls(workdir):
     """``main`` argument lists: every command on every generator at m =
     0..4, six usage errors (an ``--out`` path that cannot be opened and a
-    negative ``--oracle`` among them), argparse's help and errors (no
-    arguments, an unknown command, a first word ``--`` that is no
-    command, each command's ``--help``, an unrecognized argument
+    negative ``--oracle`` among them), an ``m`` below 0 or above
+    ``MAX_EXPONENT`` through ``gen``, ``stats``, ``apply`` and ``verify``
+    (with ``--flip`` on ``bsort``, refused first, and with ``--oracle``),
+    a sampled ``verify`` above the exhaustive width guard, argparse's help
+    and errors (no arguments, an unknown command, a first word ``--`` that
+    is no command, each command's ``--help``, an unrecognized argument
     to each command, a missing positional, a missing ``--input``, an
     invalid int, two exclusive options and an option value that looks
     like a negative number), two abbreviated options, ``verify`` on the
@@ -271,6 +274,23 @@ def transcript_calls(workdir):
         ["gen", "bsort", "2", "--out", str(workdir / "missing" / "x.snet")],
         ["verify", "bsort", "1", "--oracle", "-1"],
         ["--", "verify", "bsort", "1"],
+        # m out of range through every command; --flip is refused first,
+        # and the oracle builds past the exhaustive width guard.
+        ["gen", "bsort", "-1"],
+        ["gen", "bfsort", "17", "--flip"],
+        ["gen", "knuth", "99999999999999999999"],
+        ["gen", "batcher", "-1", "--format", "svg"],
+        ["gen", "bsort", "-1", "--flip"],
+        ["stats", "batcher", "-1"],
+        ["stats", "bfsort", "17"],
+        ["apply", "knuth", "17", "--input=0"],
+        ["apply", "bsort", "-3", "--input=0"],
+        ["verify", "bsort", "-1"],
+        ["verify", "bfsort", "17"],
+        ["verify", "knuth", "99999999999999999999"],
+        ["verify", "batcher", "-1", "--oracle", "1"],
+        ["verify", "bsort", "17", "--oracle", "1"],
+        ["verify", "bsort", "6", "--oracle", "0"],
     ]
     calls += [[command, "--help"] for command in ("gen", "verify", "apply", "stats")]
     for name, data in MALFORMED:
