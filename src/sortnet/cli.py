@@ -39,7 +39,7 @@ from .batcher import batcher
 from .bitonic import bfsort, bsort
 from .core import Connector, Network, line_numbers
 from .errors import SortnetError
-from .index import MAX_EXPONENT
+from .index import MAX_EXPONENT, pow2
 from .knuth import knuth_exchange
 from .verify import (
     _INT64_MAX,
@@ -66,10 +66,6 @@ class NetworkParseError(SortnetError):
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
-
-
-class CliError(SortnetError):
-    """Usage-level problem; maps to exit status 2."""
 
 
 def render_text(network: Network) -> str:
@@ -269,43 +265,36 @@ def render_svg(network: Network) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _generate(
-    algorithm: str, m: int, flip: bool = False, exhaustive: bool = False
-) -> Network:
-    """Build the network of ``algorithm``, a key of ``GENERATORS``;
-    with ``exhaustive``, refuse beforehand a width the exhaustive check
-    would refuse."""
-    if m < 0:
-        raise CliError("m must be nonnegative")
-    if m > MAX_EXPONENT:
-        raise CliError(f"m must be at most {MAX_EXPONENT}")
-    if exhaustive:
-        _check_exhaustive_width(1 << m)
-    return GENERATORS[algorithm](m, flip)
-
-
 def _resolve_network(
     source: list[str], exhaustive: bool = False
 ) -> tuple[Network, int | None]:
-    """Interpret positional arguments as either ``FILE`` or ``ALGO M``."""
+    """Interpret positional arguments as either ``FILE`` or ``ALGO M``.
+
+    ``M`` is refused by :func:`pow2`, the generators' own guard, before
+    any network is built: "m must be nonnegative" below 0 and "m must be
+    at most 16" above ``MAX_EXPONENT``.  With ``exhaustive``, a width the
+    exhaustive check would refuse is refused next, also before building.
+    """
     if len(source) == 2 and source[0] in GENERATORS:
         algo, m_text = source
         try:
             m = int(m_text)
         except ValueError:
-            raise CliError(f"m must be an integer, got {m_text!r}") from None
-        return _generate(algo, m, exhaustive=exhaustive), m
+            raise SortnetError(f"m must be an integer, got {m_text!r}") from None
+        if exhaustive:
+            _check_exhaustive_width(pow2(m))
+        return GENERATORS[algo](m, False), m
     if len(source) == 1:
         path = source[0]
         try:
             with open(path, encoding="utf-8") as handle:
                 text = handle.read()
         except OSError as exc:
-            raise CliError(str(exc)) from None
+            raise SortnetError(str(exc)) from None
         except UnicodeDecodeError as exc:
-            raise CliError(f"{path}: not UTF-8 text ({exc.reason})") from None
+            raise SortnetError(f"{path}: not UTF-8 text ({exc.reason})") from None
         return parse_text(text), None
-    raise CliError(f"expected a network FILE or '<{'|'.join(GENERATORS)}> <m>'")
+    raise SortnetError(f"expected a network FILE or '<{'|'.join(GENERATORS)}> <m>'")
 
 
 def _format_values(values) -> str:
@@ -329,15 +318,15 @@ def _print_report(report: VerificationReport) -> None:
 
 def _cmd_gen(args) -> int:
     if args.flip and args.algorithm != "bfsort":
-        raise CliError("--flip only applies to bfsort")
-    network = _generate(args.algorithm, args.m, args.flip)
+        raise SortnetError("--flip only applies to bfsort")
+    network = GENERATORS[args.algorithm](args.m, args.flip)
     document = render_svg(network) if args.format == "svg" else render_text(network)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(document)
         except OSError as exc:
-            raise CliError(str(exc)) from None
+            raise SortnetError(str(exc)) from None
     else:
         sys.stdout.write(document)
     return 0
@@ -347,7 +336,7 @@ def _cmd_verify(args) -> int:
     network, _ = _resolve_network(args.source, exhaustive=args.oracle is None)
     if args.oracle is not None:
         if args.oracle < 0:
-            raise CliError("TRIALS must be nonnegative")
+            raise SortnetError("TRIALS must be nonnegative")
         report = check_sorting_oracle(network, args.oracle, args.seed)
     else:
         report = check_sorting_exhaustive(network)
@@ -367,12 +356,12 @@ def _cmd_apply(args) -> int:
                 raise ValueError
             value = int(piece)
         except ValueError:
-            raise CliError(f"bad integer {piece!r} in --input") from None
+            raise SortnetError(f"bad integer {piece!r} in --input") from None
         if not _INT64_MIN <= value <= _INT64_MAX:
-            raise CliError(f"{value} is outside the signed 64-bit range")
+            raise SortnetError(f"{value} is outside the signed 64-bit range")
         values.append(value)
     if len(values) != network.width:
-        raise CliError(
+        raise SortnetError(
             f"expected {network.width} comma-separated values, got {len(values)}"
         )
     print(_format_values(network.apply(tuple(values))))

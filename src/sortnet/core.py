@@ -30,11 +30,6 @@ from .index import MAX_EXPONENT
 
 V = TypeVar("V")
 
-#: A comparator pair as accepted by :meth:`Connector.from_pairs`:
-#: ``(low, high)`` or ``(low, high, flipped)``.
-PairSpec = "tuple[int, int] | tuple[int, int, bool]"
-
-
 #: The line numbers ``0 .. len - 1`` handed out by :func:`line_numbers`.
 _lines: tuple[int, ...] = ()
 
@@ -168,7 +163,9 @@ class Connector(_Record):
                 )
 
     @classmethod
-    def from_pairs(cls, width: int, pairs: Iterable[PairSpec]) -> "Connector":
+    def from_pairs(
+        cls, width: int, pairs: Iterable[tuple[int, int] | tuple[int, int, bool]]
+    ) -> "Connector":
         """Build a connector from disjoint comparator pairs.
 
         Each pair is ``(low, high)`` or ``(low, high, flipped)``; the two
@@ -180,11 +177,11 @@ class Connector(_Record):
         link = list(line_numbers(width))
         flip = [False] * width
         for pair in pairs:
-            if len(pair) == 2:
-                a, b = pair
-                flipped = False
-            else:
-                a, b, flipped = pair
+            if len(pair) not in (2, 3):
+                raise InvalidConnector(
+                    f"pair {pair!r} is not (low, high) or (low, high, flipped)"
+                )
+            a, b, *flipped = pair
             for idx in (a, b):
                 if not 0 <= idx < width:
                     raise IndexOutOfRange(f"line {idx} not in [0, {width})")
@@ -196,7 +193,7 @@ class Connector(_Record):
             # Both entries are still their own line numbers: swapping them
             # keeps the shared int objects of ``line_numbers``.
             link[a], link[b] = link[b], link[a]
-            flip[a] = flip[b] = bool(flipped)
+            flip[a] = flip[b] = any(flipped)
         return cls(width, link, flip)
 
     @classmethod

@@ -10,13 +10,29 @@ sorted as a whole.
 
 from .combinators import neodup
 from .core import Connector, Network, line_numbers
-from .errors import ZeroWidth
+from .errors import SortnetError, ZeroWidth
 from .index import pow2
 
 
 def uphalf(n: int) -> int:
     """Ceiling half: half of ``n + 1``."""
     return (n + 1) // 2
+
+
+def _jump(width: int, first: int, k: int) -> Connector:
+    """Connector pairing line ``i`` with ``i + k`` for ``i = first, first + 2,
+    ...``, for odd ``k``.
+
+    An odd ``k`` pairs lines of opposite parity, so no line is in two
+    pairs.  A line whose partner would lie outside the range stays
+    unconnected, so the map stays involutive.
+    """
+    below = max(width - k, 0)
+    lines = line_numbers(width)
+    link = list(lines)
+    link[first:below:2] = lines[first + k :: 2]
+    link[first + k :: 2] = lines[first:below:2]
+    return Connector(width, tuple(link), (False,) * width)
 
 
 def ceswap(width: int) -> Connector:
@@ -27,13 +43,7 @@ def ceswap(width: int) -> Connector:
     """
     if width == 0:
         raise ZeroWidth("ceswap needs at least one line")
-    # On an odd width the last line is even and has no successor: it stays put.
-    paired = width - width % 2
-    lines = line_numbers(width)
-    link = list(lines)
-    link[0:paired:2] = lines[1:paired:2]
-    link[1:paired:2] = lines[0:paired:2]
-    return Connector(width, tuple(link), (False,) * width)
+    return _jump(width, 0, 1)
 
 
 def codd_jump(k: int, width: int) -> Connector:
@@ -46,19 +56,10 @@ def codd_jump(k: int, width: int) -> Connector:
     if width == 0:
         raise ZeroWidth("codd_jump needs at least one line")
     if k < 0:
-        raise ValueError(f"jump must be nonnegative, got {k}")
+        raise SortnetError(f"jump must be nonnegative, got {k}")
     if k % 2 == 0:
         return Connector.identity(width)
-    # A jump that would leave the range leaves the line unconnected: odd
-    # ``i`` and even ``i + k`` pair up exactly when both are in range, so the
-    # map stays involutive.  The odd lines below ``width - k`` jump up by
-    # ``k``; the even lines from ``k + 1`` on jump down by ``k``.
-    below = max(width - k, 0)
-    lines = line_numbers(width)
-    link = list(lines)
-    link[1:below:2] = lines[1 + k :: 2]
-    link[k + 1 :: 2] = lines[1:below:2]
-    return Connector(width, tuple(link), (False,) * width)
+    return _jump(width, 1, k)
 
 
 def knuth_jump_rec(width: int, count: int, jump: int) -> Network:
@@ -70,7 +71,7 @@ def knuth_jump_rec(width: int, count: int, jump: int) -> Network:
     if width == 0:
         raise ZeroWidth("knuth_jump_rec needs at least one line")
     if jump < 0:
-        raise ValueError(f"jump must be nonnegative, got {jump}")
+        raise SortnetError(f"jump must be nonnegative, got {jump}")
     layers = []
     r = jump
     for _ in range(count):

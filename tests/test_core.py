@@ -82,6 +82,10 @@ def test_from_pairs_rejects_out_of_range():
         Connector.from_pairs(0, [(0, 1)])
     with pytest.raises(InvalidConnector, match="^width must be nonnegative, got -1$"):
         Connector.from_pairs(-1, [(0, 1)])
+    with pytest.raises(InvalidConnector, match=r"^pair \(0,\) is not"):
+        Connector.from_pairs(4, [(0,)])
+    with pytest.raises(InvalidConnector, match=r"^pair \(0, 1, True, 2\) is not"):
+        Connector.from_pairs(4, [(0, 1, True, 2)])
 
 
 def test_from_pairs_order_insensitive():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from sortnet.errors import Overflow
+from sortnet.errors import Overflow, SortnetError
 from sortnet.index import MAX_EXPONENT, pow2
 
 
@@ -19,7 +19,7 @@ def test_pow2_doubling():
 
 def test_pow2_guard():
     assert pow2(MAX_EXPONENT) == 2**MAX_EXPONENT
-    with pytest.raises(Overflow):
+    with pytest.raises(Overflow, match=f"^m must be at most {MAX_EXPONENT}$"):
         pow2(MAX_EXPONENT + 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(SortnetError, match="^m must be nonnegative$"):
         pow2(-1)

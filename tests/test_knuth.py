@@ -4,7 +4,7 @@ import pytest
 
 from conftest import all_bool_tuples
 from sortnet.core import Connector, Network
-from sortnet.errors import Overflow, ZeroWidth
+from sortnet.errors import Overflow, SortnetError, ZeroWidth
 from sortnet.index import pow2
 from sortnet.knuth import ceswap, codd_jump, knuth_exchange, knuth_jump_rec, uphalf
 from sortnet.verify import check_sorting_exhaustive
@@ -60,7 +60,7 @@ def test_codd_jump_links():
 def test_codd_jump_rejects_negative_odd_jumps():
     # Negative even jumps are rejected as well, not read as the identity.
     for k in (-1, -2, -4):
-        with pytest.raises(ValueError):
+        with pytest.raises(SortnetError, match=f"^jump must be nonnegative, got {k}$"):
             codd_jump(k, 8)
 
 
@@ -78,7 +78,7 @@ def test_knuth_jump_rec_layer_count_and_jumps():
     assert net.layers == (codd_jump(7, 16), codd_jump(3, 16), codd_jump(1, 16))
     with pytest.raises(ZeroWidth):
         knuth_jump_rec(0, 1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(SortnetError, match="^jump must be nonnegative, got -1$"):
         knuth_jump_rec(4, 1, -1)
 
 
