@@ -210,6 +210,8 @@ def render_svg(network: Network) -> str:
     """
     width = network.width
     y = [_SVG_MARGIN_Y + line * _SVG_LINE_GAP for line in range(width)]
+    # A dot's centre height and radius depend on its line alone.
+    dot = [f' cy="{cy}" r="{_SVG_DOT_RADIUS}"/>' for cy in y]
     groups = []  # drawn after the header and wires, which need the final width
     x = _SVG_MARGIN_X
     for index, layer in enumerate(network.layers):
@@ -236,8 +238,8 @@ def render_svg(network: Network) -> str:
             start, end = (high, low) if flipped else (low, high)
             marker = ' marker-end="url(#flip-arrow)"' if flipped else ""
             groups += (
-                f'<circle cx="{cx}" cy="{y[low]}" r="{_SVG_DOT_RADIUS}"/>',
-                f'<circle cx="{cx}" cy="{y[high]}" r="{_SVG_DOT_RADIUS}"/>',
+                f'<circle cx="{cx}"{dot[low]}',
+                f'<circle cx="{cx}"{dot[high]}',
                 f'<line class="link" x1="{cx}" y1="{y[start]}" '
                 f'x2="{cx}" y2="{y[end]}"{marker}/>',
             )
@@ -256,11 +258,10 @@ def render_svg(network: Network) -> str:
         "</defs>",
         '<g class="wires" stroke="black" stroke-width="1.5">',
     ]
-    for line in range(width):
-        parts.append(
-            f'<line class="wire" x1="10" y1="{y[line]}" '
-            f'x2="{total_w - 10}" y2="{y[line]}"/>'
-        )
+    parts += [
+        f'<line class="wire" x1="10" y1="{cy}" x2="{total_w - 10}" y2="{cy}"/>'
+        for cy in y
+    ]
     parts += ["</g>", *groups, "</svg>"]
     return "\n".join(parts) + "\n"
 

@@ -52,11 +52,18 @@ they are independently reproducible.
 The sampled oracle runs integer tuples through that plain evaluator: it
 compiles the network into its comparator list once and runs every
 permutation and random tuple through the loop ``Network.apply`` runs.
+Up to width ``MAX_PERMUTATION_WIDTH`` the check above runs first.  By
+the 0-1 principle at each threshold, a network that sorts every
+boolean input sends every integer tuple to its sorted permutation, so a
+sorter's report is known without the loop; ``inputs_checked`` then
+counts the inputs the verdict covers, as in exhaustive mode.  A network
+that fails runs the loop, which names its first failing input.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from operator import lt
 
@@ -79,7 +86,11 @@ MAX_EXHAUSTIVE_WIDTH = 24
 _CHUNK_BITS = 17
 
 #: Widths up to this get every permutation of ``range(width)`` included
-#: in the sampled oracle on top of the random trials.
+#: in the sampled oracle on top of the random trials, and a sorter of such
+#: a width is decided by the exhaustive check in place of them.  Wider
+#: sorters are not: on merge-exchange sorters (one Xeon core) that check
+#: takes 20 ms at width 512 and 0.40 s at 1024, against 21 and 58 ms for
+#: 20 random trials.
 MAX_PERMUTATION_WIDTH = 8
 
 _INT64_MIN = -(1 << 63)
@@ -329,12 +340,26 @@ def check_sorting_oracle(
     Runs every permutation of ``range(width)`` when the width allows,
     then ``trials`` seeded random signed 64-bit tuples, through one
     compiled comparator list.  Each output must be a sorted permutation
-    of its input.  Identical seeds give identical reports.  A negative
-    ``trials`` raises :class:`SortnetError`.
+    of its input.  Up to width ``MAX_PERMUTATION_WIDTH`` a network that
+    the 0-1 check finds sorting runs no tuple: its report says "sorting"
+    and ``inputs_checked`` counts the inputs that verdict covers, every
+    permutation plus ``trials``, as in exhaustive mode.  A network that
+    fails runs the tuples in the same order, so its counterexample is the
+    first failing one.  Identical seeds give identical reports.  A
+    negative ``trials`` raises :class:`SortnetError`.
     """
     if trials < 0:
         raise SortnetError(f"trials must be nonnegative, got {trials}")
     width = network.width
+    if width <= MAX_PERMUTATION_WIDTH and _first_failure(
+        width, [layer.pairs() for layer in network.layers], {}
+    ) is None:
+        # Sorting every boolean input, the network sorts every integer
+        # tuple: the 0-1 principle at each threshold.  No case can fail.
+        return VerificationReport(
+            width=width, inputs_checked=math.factorial(width) + trials,
+            mode="sampled", is_sorting=True, seed=seed, trials=trials,
+        )
     rng = random.Random(seed)
     randoms = (
         tuple(rng.randint(_INT64_MIN, _INT64_MAX) for _ in range(width))

@@ -113,6 +113,16 @@ def flip_mutants(network):
             yield Network(network.width, tuple(layers))
 
 
+def drop_mutants(network):
+    """Every network that lacks one comparator of ``network``."""
+    for t, layer in enumerate(network.layers):
+        pairs = layer.pairs()
+        for k in range(len(pairs)):
+            layers = list(network.layers)
+            layers[t] = Connector.from_pairs(network.width, pairs[:k] + pairs[k + 1:])
+            yield Network(network.width, tuple(layers))
+
+
 def generator_variants(m):
     """The five generated networks on ``2**m`` lines; one sorts descending."""
     return {
@@ -783,6 +793,62 @@ def test_oracle_matches_the_per_tuple_oracle(seed):
 def test_oracle_matches_the_per_tuple_oracle_on_generators(net):
     report = check_sorting_oracle(net, 30, 11)
     assert report == check_sorting_oracle_spec(net, 30, 11)
+
+
+def small_oracle_corpus():
+    """Networks of widths 0 to 8: the generated ones at m = 3 with their
+    one-flip mutants, the one-drop mutants of two of them, and seeded
+    random networks with and without a sorter after them, flags mixed."""
+    rng = random.Random(26)
+    yield Network(0, ())
+    yield Network(1, ())
+    for net in generator_variants(3).values():
+        yield net
+        yield from flip_mutants(net)
+    yield from drop_mutants(bsort(3))
+    yield from drop_mutants(batcher(3))
+    for width in range(2, 9):
+        prefix = random_network(width, rng.randint(0, 2 * width), rng)
+        yield with_flags(prefix, rng)
+        sorter = odd_even_transposition(width)
+        yield with_flags(Network(width, prefix.layers + sorter.layers), rng)
+
+
+def test_oracle_matches_the_per_tuple_oracle_on_small_sorters_and_mutants():
+    # Sorters take the 0-1 check's verdict and every other network runs
+    # the loop; the reports must not tell them apart.
+    for index, net in enumerate(small_oracle_corpus()):
+        trials = (0, 7, 30)[index % 3]
+        report = check_sorting_oracle(net, trials, index)
+        assert report == check_sorting_oracle_spec(net, trials, index)
+
+
+def test_oracle_runs_no_tuple_through_a_small_sorter(monkeypatch):
+    def refuse(comparators, values):
+        raise AssertionError(f"{values} ran")
+
+    monkeypatch.setattr(verify, "_evaluate", refuse)
+    report = check_sorting_oracle(batcher(3), 100)
+    assert report == verify.VerificationReport(
+        width=8, inputs_checked=40320 + 100, mode="sampled", is_sorting=True,
+        seed=0, trials=100,
+    )
+    # A network that fails, or is wider than 8, still runs every tuple.
+    monkeypatch.undo()
+    evaluate, runs = verify._evaluate, []
+
+    def count(comparators, values):
+        runs.append(values)
+        return evaluate(comparators, values)
+
+    monkeypatch.setattr(verify, "_evaluate", count)
+    mutant = next(drop_mutants(batcher(3)))
+    report = check_sorting_oracle(mutant, 100)
+    assert not report.is_sorting and report.inputs_checked == len(runs) == 5041
+    assert report == check_sorting_oracle_spec(mutant, 100)
+    runs.clear()
+    report = check_sorting_oracle(odd_even_transposition(9), 5)
+    assert report.is_sorting and report.inputs_checked == len(runs) == 5
 
 
 def test_zero_one_principle_on_random_networks():
