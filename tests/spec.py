@@ -1,7 +1,7 @@
 """The paper's specification predicates, the connector check one line at a
 time, the link maps of the two gluing schemes, the per-token parser,
 the per-tuple evaluator and sampled oracle, and the suite's random
-networks.
+networks, sorters and mutants.
 
 The paper proves its four constructions correct against these
 predicates: sortedness, permutation, bitonicity, the even/odd slices and
@@ -24,6 +24,7 @@ from itertools import chain, groupby, permutations
 from typing import Callable, Sequence, TypeVar
 
 from sortnet.cli import NetworkParseError
+from sortnet.combinators import neomerge, nmerge
 from sortnet.core import Connector, Network
 from sortnet.errors import InvalidConnector, SortnetError
 from sortnet.index import MAX_EXPONENT
@@ -152,6 +153,87 @@ def random_network(width: int, depth: int, rng: random.Random) -> Network:
     return Network(
         width, tuple(random_connector(width, rng) for _ in range(depth))
     )
+
+
+def odd_even_transposition(width):
+    """A sorter on any width: ``width`` rounds of neighbour comparators,
+    one more on odd widths, starting on line 0 and line 1 in turn."""
+    return Network(
+        width,
+        tuple(
+            Connector.from_pairs(width, [(i, i + 1) for i in range(s, width - 1, 2)])
+            for s in [0, 1] * ((width + 1) // 2)
+        ),
+    )
+
+
+def flip_mutants(network):
+    """Every network that differs from ``network`` in one comparator's flag."""
+    for t, layer in enumerate(network.layers):
+        pairs = layer.pairs()
+        for k, (i, j, flipped) in enumerate(pairs):
+            changed = pairs[:k] + [(i, j, not flipped)] + pairs[k + 1:]
+            layers = list(network.layers)
+            layers[t] = Connector.from_pairs(network.width, changed)
+            yield Network(network.width, tuple(layers))
+
+
+def drop_mutants(network):
+    """Every network that lacks one comparator of ``network``."""
+    for t, layer in enumerate(network.layers):
+        pairs = layer.pairs()
+        for k in range(len(pairs)):
+            layers = list(network.layers)
+            layers[t] = Connector.from_pairs(network.width, pairs[:k] + pairs[k + 1:])
+            yield Network(network.width, tuple(layers))
+
+
+def padded(network, depth):
+    """``network`` followed by identity layers up to ``depth`` layers."""
+    extra = (Connector.identity(network.width),) * (depth - network.size)
+    return Network(network.width, network.layers + extra)
+
+
+def random_block(rng, width):
+    """A sorter either way round, a random network, or a block network."""
+    kind = rng.choice(["up", "down", "random", "blocks"][: 4 if width >= 3 else 3])
+    if kind == "random":
+        return random_network(width, rng.randint(0, 3), rng)
+    if kind == "blocks":
+        return random_block_network(rng, width)
+    sorter = odd_even_transposition(width)
+    if kind == "up":
+        return sorter
+    return Network(width, tuple(
+        Connector.from_pairs(width, [(i, j, True) for i, j, _ in layer.pairs()])
+        for layer in sorter.layers
+    ))
+
+
+def random_block_network(rng, width):
+    """Two blocks side by side (``nmerge``) or interleaved (``neomerge``),
+    then an empty, random or sorting suffix."""
+    if width >= 2 and width % 2 == 0 and rng.random() < 0.4:
+        a, b = random_block(rng, width // 2), random_block(rng, width // 2)
+        glue = neomerge
+    else:
+        left = rng.randint(0, width)
+        a, b = random_block(rng, left), random_block(rng, width - left)
+        glue = nmerge
+    depth = max(a.size, b.size)
+    prefix = glue(padded(a, depth), padded(b, depth))
+    suffix = rng.choice([
+        Network(width, ()),
+        random_network(width, rng.randint(1, 4), rng),
+        odd_even_transposition(width),
+    ])
+    return prefix + suffix
+
+
+def block_networks(seed):
+    """88 seeded block networks, 8 of each width 0 to 10."""
+    rng = random.Random(seed)
+    return [random_block_network(rng, width) for width in range(11) for _ in range(8)]
 
 
 def cmerge_link(c1: Connector, c2: Connector) -> tuple[int, ...]:

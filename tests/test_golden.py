@@ -1,5 +1,6 @@
 """Byte-identical ``render_text`` (m = 0..11) and ``render_svg`` (m = 0..7)
-output of every generator, and byte-identical CLI transcripts.
+output of every generator, byte-identical CLI transcripts, and the
+reports of both sorting checks on fixed, seeded corpora.
 
 The text digests pin the exact comparator layout of each construction, so
 a rewrite of the combinators or the jump and swap connectors that changes
@@ -10,15 +11,19 @@ drawing's layout, including the sideways offsets of overlapping links.
 import contextlib
 import hashlib
 import io
+import random
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import networks
+from sortnet import verify
 from sortnet.batcher import batcher
 from sortnet.bitonic import bfsort, bsort
 from sortnet.cli import main, parse_text, render_svg, render_text
 from sortnet.knuth import knuth_exchange
+from sortnet.verify import check_sorting_exhaustive, check_sorting_oracle
+from spec import block_networks, drop_mutants, flip_mutants, random_network
 
 GENERATORS = {
     "bsort": bsort,
@@ -326,3 +331,82 @@ def test_cli_transcript_is_byte_identical(tmp_path, monkeypatch):
     # argparse wraps its usage lines to the terminal width it reads here.
     monkeypatch.setenv("COLUMNS", "80")
     assert cli_transcript(tmp_path) == TRANSCRIPT_DIGEST
+
+
+def variants_and_mutants(top):
+    """The generated networks at m = 0..``top``, each followed by its
+    one-flip and then its one-drop mutants."""
+    for m in range(top + 1):
+        for build in GENERATORS.values():
+            net = build(m)
+            yield net
+            yield from flip_mutants(net)
+            yield from drop_mutants(net)
+
+
+def report_digest(reports):
+    """sha256 over the ``repr`` of each report in turn."""
+    digest = hashlib.sha256()
+    for report in reports:
+        digest.update(repr(report).encode())
+    return digest.hexdigest()
+
+
+# sha256 of the oracle's reports on oracle_corpus() at (trials, seed) =
+# (0, 0), then at (20, 7).
+ORACLE_DIGEST = (
+    "8f68294a4bff1d928336c32282d3a1f7af0a327d28c0c1aaf8f8d061fc30656a"
+)
+
+
+def oracle_corpus():
+    """410 networks: the variants at m = 0..3 with their mutants, and 8
+    seeded random networks of each width 0 to 12."""
+    rng = random.Random(5)
+    return [*variants_and_mutants(3)] + [
+        random_network(width, rng.randint(0, 8), rng)
+        for width in range(13) for _ in range(8)
+    ]
+
+
+def test_oracle_reports_are_pinned():
+    corpus = oracle_corpus()
+    reports = [
+        check_sorting_oracle(net, trials, seed)
+        for trials, seed in ((0, 0), (20, 7)) for net in corpus
+    ]
+    assert report_digest(reports) == ORACLE_DIGEST
+
+
+# sha256 of the exhaustive reports on the networks of exhaustive_corpus()
+# up to a width, at a ``_CHUNK_BITS``: all of them at the default, and
+# those of width 12 or less at 3, where small chunks split one product
+# into many, skipped or not.
+EXHAUSTIVE_DIGESTS = (
+    (verify._CHUNK_BITS, 20,
+     "4a10095cfc25947a88207a3e09191d8f1a720e77ec82fe4660dfa033840d5ebe"),
+    (3, 12, "2f9c237d9fc837fae9708a209490c556f5f8f0bc8a46da195d7d6dfbea1e0370"),
+)
+
+
+def exhaustive_corpus():
+    """4773 networks: block networks of seeds 0 to 39, 10 seeded random
+    networks of each width 0 to 20, and the variants at m = 0..4 with
+    their mutants."""
+    rng = random.Random(11)
+    corpus = [net for seed in range(40) for net in block_networks(seed)]
+    corpus += [
+        random_network(width, rng.randint(0, 8), rng)
+        for width in range(21) for _ in range(10)
+    ]
+    return corpus + [*variants_and_mutants(4)]
+
+
+@pytest.mark.parametrize("chunk_bits, widest, expected", EXHAUSTIVE_DIGESTS)
+def test_exhaustive_reports_are_pinned(monkeypatch, chunk_bits, widest, expected):
+    monkeypatch.setattr(verify, "_CHUNK_BITS", chunk_bits)
+    reports = [
+        check_sorting_exhaustive(net)
+        for net in exhaustive_corpus() if net.width <= widest
+    ]
+    assert report_digest(reports) == expected

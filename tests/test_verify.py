@@ -19,10 +19,16 @@ from sortnet.errors import SortnetError, WidthTooLarge
 from sortnet.knuth import knuth_exchange
 from sortnet.verify import check_sorting_exhaustive, check_sorting_oracle, network_stats
 from spec import (
+    block_networks,
     check_sorting_oracle_spec,
+    drop_mutants,
+    flip_mutants,
     is_perm_of,
     is_sorted,
     map_values,
+    odd_even_transposition,
+    padded,
+    random_block,
     random_connector,
     random_network,
 )
@@ -90,39 +96,6 @@ def whole_lane_first_failure(network):
     return (violations & -violations).bit_length() - 1
 
 
-def odd_even_transposition(width):
-    """A sorter on any width: ``width`` rounds of neighbour comparators,
-    one more on odd widths, starting on line 0 and line 1 in turn."""
-    return Network(
-        width,
-        tuple(
-            Connector.from_pairs(width, [(i, i + 1) for i in range(s, width - 1, 2)])
-            for s in [0, 1] * ((width + 1) // 2)
-        ),
-    )
-
-
-def flip_mutants(network):
-    """Every network that differs from ``network`` in one comparator's flag."""
-    for t, layer in enumerate(network.layers):
-        pairs = layer.pairs()
-        for k, (i, j, flipped) in enumerate(pairs):
-            changed = pairs[:k] + [(i, j, not flipped)] + pairs[k + 1:]
-            layers = list(network.layers)
-            layers[t] = Connector.from_pairs(network.width, changed)
-            yield Network(network.width, tuple(layers))
-
-
-def drop_mutants(network):
-    """Every network that lacks one comparator of ``network``."""
-    for t, layer in enumerate(network.layers):
-        pairs = layer.pairs()
-        for k in range(len(pairs)):
-            layers = list(network.layers)
-            layers[t] = Connector.from_pairs(network.width, pairs[:k] + pairs[k + 1:])
-            yield Network(network.width, tuple(layers))
-
-
 def generator_variants(m):
     """The five generated networks on ``2**m`` lines; one sorts descending."""
     return {
@@ -132,53 +105,6 @@ def generator_variants(m):
         "knuth": knuth_exchange(m),
         "batcher": batcher(m),
     }
-
-
-def padded(network, depth):
-    """``network`` followed by identity layers up to ``depth`` layers."""
-    extra = (Connector.identity(network.width),) * (depth - network.size)
-    return Network(network.width, network.layers + extra)
-
-
-def random_block(rng, width):
-    """A sorter either way round, a random network, or a block network."""
-    kind = rng.choice(["up", "down", "random", "blocks"][: 4 if width >= 3 else 3])
-    if kind == "random":
-        return random_network(width, rng.randint(0, 3), rng)
-    if kind == "blocks":
-        return random_block_network(rng, width)
-    sorter = odd_even_transposition(width)
-    if kind == "up":
-        return sorter
-    return Network(width, tuple(
-        Connector.from_pairs(width, [(i, j, True) for i, j, _ in layer.pairs()])
-        for layer in sorter.layers
-    ))
-
-
-def random_block_network(rng, width):
-    """Two blocks side by side (``nmerge``) or interleaved (``neomerge``),
-    then an empty, random or sorting suffix."""
-    if width >= 2 and width % 2 == 0 and rng.random() < 0.4:
-        a, b = random_block(rng, width // 2), random_block(rng, width // 2)
-        glue = neomerge
-    else:
-        left = rng.randint(0, width)
-        a, b = random_block(rng, left), random_block(rng, width - left)
-        glue = nmerge
-    depth = max(a.size, b.size)
-    prefix = glue(padded(a, depth), padded(b, depth))
-    suffix = rng.choice([
-        Network(width, ()),
-        random_network(width, rng.randint(1, 4), rng),
-        odd_even_transposition(width),
-    ])
-    return prefix + suffix
-
-
-def block_networks(seed):
-    rng = random.Random(seed)
-    return [random_block_network(rng, width) for width in range(11) for _ in range(8)]
 
 
 def lane_network(width, layers):
