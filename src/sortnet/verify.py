@@ -174,12 +174,13 @@ def _components(width: int, layers: list) -> tuple[int, list[list[int]]]:
                 parent[j] = j
             break
         count, cut = count - len(joined), cut + 1
+    # A union hangs a root under a lower one and an undo resets a line to
+    # itself, so ``parent[line] <= line``: in ascending order a line's
+    # parent already points at its root.
     groups: dict[int, list[int]] = {}
     for line in range(width):
-        root = line
-        while parent[root] != root:
-            root = parent[root]
-        groups.setdefault(root, []).append(line)
+        parent[line] = parent[parent[line]]
+        groups.setdefault(parent[line], []).append(line)
     return cut, list(groups.values())
 
 
