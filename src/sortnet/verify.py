@@ -50,14 +50,17 @@ Reported counterexamples are recomputed through the plain evaluator, so
 they are independently reproducible.
 
 The sampled oracle runs integer tuples through that plain evaluator: it
-compiles the network into its comparator list once and runs every
-permutation and random tuple through the loop ``Network.apply`` runs.
-Up to width ``MAX_PERMUTATION_WIDTH`` the check above runs first.  By
-the 0-1 principle at each threshold, a network that sorts every
-boolean input sends every integer tuple to its sorted permutation, so a
-sorter's report is known without the loop; ``inputs_checked`` then
-counts the inputs the verdict covers, as in exhaustive mode.  A network
-that fails runs the loop, which names its first failing input.
+compiles the network into its comparator list once and runs each tuple
+through the loop ``Network.apply`` runs.  Up to width
+``MAX_PERMUTATION_WIDTH`` the check above runs first.  By the 0-1
+principle at each threshold, a network that sorts every boolean input
+sends every integer tuple to its sorted permutation, so a sorter runs no
+tuple; ``inputs_checked`` counts the inputs the verdict covers, every
+permutation and the ``trials`` random tuples, which are never drawn.  A
+network that fails a boolean input with ``k`` zeros fails every
+permutation whose values below ``k`` sit on those zeros, so only a
+failing network runs tuples, and those are the permutations, in order,
+up to its first failing one.  Wider networks run the random tuples alone.
 """
 
 from __future__ import annotations
@@ -85,12 +88,11 @@ MAX_EXHAUSTIVE_WIDTH = 24
 # on sorters of widths 20 to 24 (one Xeon core, 2 MB L2).
 _CHUNK_BITS = 17
 
-#: Widths up to this get every permutation of ``range(width)`` included
-#: in the sampled oracle on top of the random trials, and a sorter of such
-#: a width is decided by the exhaustive check in place of them.  Wider
-#: sorters are not: on merge-exchange sorters (one Xeon core) that check
-#: takes 20 ms at width 512 and 0.40 s at 1024, against 21 and 58 ms for
-#: 20 random trials.
+#: Up to this width the sampled oracle lets the exhaustive check decide,
+#: and a network that fails it runs the permutations of ``range(width)``
+#: in place of the random trials.  Wider networks run the random trials:
+#: on merge-exchange sorters (one Xeon core) that check takes 20 ms at
+#: width 512 and 0.40 s at 1024, against 21 and 58 ms for 20 trials.
 MAX_PERMUTATION_WIDTH = 8
 
 _INT64_MIN = -(1 << 63)
@@ -110,8 +112,10 @@ class VerificationReport(_Record):
     """Outcome of a sorting check.
 
     ``mode`` is ``"exhaustive"`` (all boolean inputs in lexicographic
-    order, False before True) or ``"sampled"`` (permutations of
-    ``range(width)`` on small widths plus seeded random integer tuples).
+    order, False before True) or ``"sampled"`` (on small widths, the
+    permutations of ``range(width)`` run only through a network that
+    fails, a sorter counting them and the ``trials`` random tuples
+    without drawing any; on wider ones, seeded random integer tuples).
     On failure ``counterexample`` holds the first offending input.
     """
 
@@ -338,53 +342,49 @@ def check_sorting_oracle(
 ) -> VerificationReport:
     """Sampled sorting check over integer tuples.
 
-    Runs every permutation of ``range(width)`` when the width allows,
-    then ``trials`` seeded random signed 64-bit tuples, through one
-    compiled comparator list.  Each output must be a sorted permutation
-    of its input.  Up to width ``MAX_PERMUTATION_WIDTH`` a network that
-    the 0-1 check finds sorting runs no tuple: its report says "sorting"
-    and ``inputs_checked`` counts the inputs that verdict covers, every
-    permutation plus ``trials``, as in exhaustive mode.  A network that
-    fails runs the tuples in the same order, so its counterexample is the
-    first failing one.  Identical seeds give identical reports.  A
-    negative ``trials`` raises :class:`SortnetError`.
+    Tuples run through one compiled comparator list, and each output
+    must be a sorted permutation of its input.  Up to width
+    ``MAX_PERMUTATION_WIDTH`` the 0-1 check decides first.  A sorter runs
+    no tuple: its report says "sorting" and ``inputs_checked`` counts the
+    inputs that verdict covers, every permutation of ``range(width)``
+    plus the ``trials`` random tuples, which are never drawn.  Only a
+    network that fails runs tuples, the permutations in order, and its
+    counterexample is the first that fails.  Wider networks run
+    ``trials`` seeded random signed 64-bit tuples alone.  Identical seeds
+    give identical reports.  A negative ``trials`` raises
+    :class:`SortnetError`.
     """
     if trials < 0:
         raise SortnetError(f"trials must be nonnegative, got {trials}")
-    width = network.width
-    if width <= MAX_PERMUTATION_WIDTH and _first_failure(
-        width, [layer.pairs() for layer in network.layers], {}
-    ) is None:
-        # Sorting every boolean input, the network sorts every integer
-        # tuple: the 0-1 principle at each threshold.  No case can fail.
-        return VerificationReport(
-            width=width, inputs_checked=math.factorial(width) + trials,
-            mode="sampled", is_sorting=True, seed=seed, trials=trials,
-        )
-    rng = random.Random(seed)
-    randoms = (
-        tuple(rng.randint(_INT64_MIN, _INT64_MAX) for _ in range(width))
-        for _ in range(trials)
-    )
-    cases = ((values, sorted(values)) for values in randoms)
+    width, counterexample = network.width, None
     if width <= MAX_PERMUTATION_WIDTH:
-        # Every permutation of ``range(width)`` sorts to ``range(width)``.
-        ordered = list(range(width))
-        permutations = itertools.permutations(ordered)
-        cases = itertools.chain(zip(permutations, itertools.repeat(ordered)), cases)
+        # By the 0-1 principle at each threshold, a network that sorts every
+        # boolean input sorts every integer tuple, so a sorter runs no case.
+        # One that fails an input with ``k`` zeros fails each permutation
+        # with its values below ``k`` on those zeros.
+        ordered, covered = list(range(width)), math.factorial(width) + trials
+        cases, layers = (), [layer.pairs() for layer in network.layers]
+        if _first_failure(width, layers, {}) is not None:
+            cases = zip(itertools.permutations(ordered), itertools.repeat(ordered))
+    else:
+        rng, covered = random.Random(seed), trials
+        randoms = (
+            tuple(rng.randint(_INT64_MIN, _INT64_MAX) for _ in range(width))
+            for _ in range(trials)
+        )
+        cases = ((values, sorted(values)) for values in randoms)
     comparators = _comparators(network)
-    checked, counterexample = 0, None
-    for values, expected in cases:
-        checked += 1
+    for checked, (values, expected) in enumerate(cases, 1):
         out = _evaluate(comparators, values)
         # The inputs are integers, so this one comparison means "a sorted
         # permutation of the input".
         if out != expected:
             counterexample = Counterexample(tuple(values), tuple(out))
+            covered = checked
             break
     return VerificationReport(
         width=width,
-        inputs_checked=checked,
+        inputs_checked=covered,
         mode="sampled",
         is_sorting=counterexample is None,
         counterexample=counterexample,

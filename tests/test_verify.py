@@ -777,6 +777,32 @@ def test_oracle_runs_no_tuple_through_a_small_sorter(monkeypatch):
     assert report.is_sorting and report.inputs_checked == len(runs) == 5
 
 
+def test_oracle_draws_no_random_tuple_up_to_the_permutation_width(monkeypatch):
+    # A network that fails a boolean input fails a permutation, so up to
+    # width 8 the permutations name every counterexample and no random
+    # tuple is drawn, not even for a network that fails.
+    def refuse(seed):
+        raise AssertionError(f"random.Random({seed}) was built")
+
+    rng = random.Random(27)
+    corpus = [*small_oracle_corpus()] + [
+        random_network(width, rng.randint(0, 2 * width), rng)
+        for width in range(9) for _ in range(6)
+    ]
+    failed = 0
+    for index, net in enumerate(corpus):
+        trials = (0, 7, 30)[index % 3]
+        with monkeypatch.context() as patch:
+            patch.setattr(verify.random, "Random", refuse)
+            report = check_sorting_oracle(net, trials, index)
+        assert report == check_sorting_oracle_spec(net, trials, index)
+        if not report.is_sorting:
+            failed += 1
+            assert sorted(report.counterexample.input) == list(range(net.width))
+            assert report.inputs_checked <= math.factorial(net.width)
+    assert 0 < failed < len(corpus)
+
+
 def test_zero_one_principle_on_random_networks():
     # Boolean exhaustive verdict must equal the all-permutations verdict.
     rng = random.Random(99)
