@@ -112,11 +112,12 @@ class VerificationReport(_Record):
     """Outcome of a sorting check.
 
     ``mode`` is ``"exhaustive"`` (all boolean inputs in lexicographic
-    order, False before True) or ``"sampled"`` (on small widths, the
-    permutations of ``range(width)`` run only through a network that
-    fails, a sorter counting them and the ``trials`` random tuples
-    without drawing any; on wider ones, seeded random integer tuples).
-    On failure ``counterexample`` holds the first offending input.
+    order, False before True) or ``"sampled"`` (integer tuples: on small
+    widths the permutations of ``range(width)``, run only through a
+    network that fails, and on wider ones seeded random tuples).  A small
+    sorter's ``inputs_checked`` also counts the ``trials`` random tuples,
+    which are never drawn.  On failure ``counterexample`` holds the first
+    offending input.
     """
 
     __slots__ = (
@@ -358,10 +359,8 @@ def check_sorting_oracle(
         raise SortnetError(f"trials must be nonnegative, got {trials}")
     width, counterexample = network.width, None
     if width <= MAX_PERMUTATION_WIDTH:
-        # By the 0-1 principle at each threshold, a network that sorts every
-        # boolean input sorts every integer tuple, so a sorter runs no case.
-        # One that fails an input with ``k`` zeros fails each permutation
-        # with its values below ``k`` on those zeros.
+        # A sorter runs no case, and one that fails an input with ``k`` zeros
+        # fails each permutation with its values below ``k`` on those zeros.
         ordered, covered = list(range(width)), math.factorial(width) + trials
         cases, layers = (), [layer.pairs() for layer in network.layers]
         if _first_failure(width, layers, {}) is not None:

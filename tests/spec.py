@@ -352,7 +352,9 @@ def check_sorting_oracle_spec(
     """The sampled oracle one tuple at a time through :func:`apply_spec`:
     every permutation of ``range(width)`` when the width allows, then
     ``trials`` seeded random signed 64-bit tuples, drawn in the order
-    ``check_sorting_oracle`` draws them."""
+    ``check_sorting_oracle`` draws them on wider networks.  Up to that
+    width it runs the random tuples too, which the 0-1 principle says
+    cannot fail after every permutation has passed."""
     width = network.width
     rng = random.Random(seed)
     inputs = []
