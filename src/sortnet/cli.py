@@ -406,7 +406,9 @@ def _verify_arguments(parser) -> None:
         "--oracle",
         type=int,
         metavar="TRIALS",
-        help="sampled check: permutations (small widths) plus TRIALS random tuples",
+        help="sampled check: TRIALS seeded random tuples above width 8; up to "
+        "width 8 the boolean check decides, and a network that fails runs "
+        "the permutations",
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for --oracle")
 

@@ -223,7 +223,7 @@ READER = (
 
 # sha256 of cli_transcript: exit codes, stdout and stderr of every call.
 TRANSCRIPT_DIGEST = (
-    "b38ada1bdf75cc14ac05aaf77d1d3b11a71ff970694bc289892fdf4508b3e349"
+    "0332f8cd418e7d65ac3c0d5bec357552ef6d2e018f0e4249e622fc352251768d"
 )
 
 
