@@ -49,18 +49,40 @@ lexicographic, and every chunk after the first failing one is skipped.
 Reported counterexamples are recomputed through the plain evaluator, so
 they are independently reproducible.
 
-The sampled oracle runs integer tuples through that plain evaluator: it
-compiles the network into its comparator list once and runs each tuple
-through the loop ``Network.apply`` runs.  Up to width
-``MAX_PERMUTATION_WIDTH`` the check above runs first.  By the 0-1
-principle at each threshold, a network that sorts every boolean input
-sends every integer tuple to its sorted permutation, so a sorter runs no
-tuple; ``inputs_checked`` counts the inputs the verdict covers, every
-permutation and the ``trials`` random tuples, which are never drawn.  A
-network that fails a boolean input with ``k`` zeros fails every
+The sampled oracle runs integer tuples packed, with the same
+bit-parallel idea as SIMD within a register (Lamport, CACM 1975): its
+cases run ``_BATCH`` (64) at a time, and lane ``i`` is one big integer
+whose field ``k``, bits ``72k`` to ``72k + 71``, holds case ``k``'s value
+on line ``i`` plus ``2**63`` in its low 64 bits, and a clear guard bit at
+bit 64.  With ``G`` the guard bits of every field, a field of ``(a | G) -
+b`` is ``2**64 + a_k - b_k``, between 1 and ``2**65 - 1``: it borrows
+from its own guard when ``a_k < b_k`` and never from the next field.  So
+``ge = ((a | G) - b) & G`` keeps the guards of the fields with ``a_k >=
+b_k``, ``ge - (ge >> 64)`` widens each into 64 ones, and ``swap = (a ^
+b) & (ge - (ge >> 64))`` gives the minimum ``a ^ swap`` and the maximum
+``b ^ swap``; a tie exchanges equal values.  A comparator only exchanges
+values, so an output that does not decrease is a sorted permutation of
+its input, and the first failing case is the lowest field whose guard is
+clear in ``((b | G) - a) & G`` for some adjacent lanes ``a`` and ``b``.
+It is drawn again and run through the plain evaluator, so counterexamples
+are independently reproducible.  The network is compiled into its
+comparator list when the first batch runs.
+
+Up to width ``MAX_PERMUTATION_WIDTH`` the check above runs first.  By
+the 0-1 principle at each threshold, a network that sorts every boolean
+input sends every integer tuple to its sorted permutation, so a sorter
+runs no tuple; ``inputs_checked`` counts the inputs the verdict covers,
+every permutation and the ``trials`` random tuples, which are never
+drawn.  A network that fails a boolean input with ``k`` zeros fails every
 permutation whose values below ``k`` sit on those zeros, so only a
 failing network runs tuples, and those are the permutations, in order,
-up to its first failing one.  Wider networks run the random tuples alone.
+up to its first failing one.  Wider networks run the random tuples
+alone: the values of ``randint(-2**63, 2**63 - 1)`` of a generator seeded
+with ``seed``, drawn in bulk.  In CPython that call is ``getrandbits(65)``,
+drawn again while it is at least ``2**64``: three 32-bit words, the
+lowest first, kept when the third is below ``2**31``.  So
+``getrandbits(96 * n)`` gives ``n`` such draws at once, one generator
+serves every batch, and a kept draw's field is its first two words.
 """
 
 from __future__ import annotations
@@ -69,6 +91,7 @@ import itertools
 import math
 import random
 from operator import lt
+from typing import Iterable, Iterator
 
 from .core import Network, _Record, _comparators, _evaluate
 from .errors import SortnetError, WidthTooLarge
@@ -91,12 +114,23 @@ _CHUNK_BITS = 17
 #: Up to this width the sampled oracle lets the exhaustive check decide,
 #: and a network that fails it runs the permutations of ``range(width)``
 #: in place of the random trials.  Wider networks run the random trials:
-#: on merge-exchange sorters (one Xeon core) that check takes 20 ms at
-#: width 512 and 0.40 s at 1024, against 21 and 58 ms for 20 trials.
+#: on merge-exchange sorters (one Xeon core) that check takes 18 ms at
+#: width 512 and 0.41 s at 1024, against 10 and 23 ms for 20 trials.
 MAX_PERMUTATION_WIDTH = 8
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
+
+# The sampled oracle's cases per batch, and the bits of each case's field
+# in a packed lane: its value in 64, the guard bit and 7 spare bits, so a
+# field is 9 whole bytes.
+_BATCH = 64
+_FIELD_BITS = 72
+
+# Draws of 96 random bits per refill of the oracle's random stream.  From
+# 128 to 4096 the time of 20 trials at width 1024 did not move; the
+# traced peak at width 64 grew from 44 KB at 256 to 72 KB at 1024.
+_DRAWS = 256
 
 
 class Counterexample(_Record):
@@ -114,10 +148,12 @@ class VerificationReport(_Record):
     ``mode`` is ``"exhaustive"`` (all boolean inputs in lexicographic
     order, False before True) or ``"sampled"`` (integer tuples: on small
     widths the permutations of ``range(width)``, run only through a
-    network that fails, and on wider ones seeded random tuples).  A small
-    sorter's ``inputs_checked`` also counts the ``trials`` random tuples,
-    which are never drawn.  On failure ``counterexample`` holds the first
-    offending input.
+    network that fails, and on wider ones seeded random tuples, run 64 to
+    a batch).  A small sorter's ``inputs_checked`` also counts the
+    ``trials`` random tuples, which are never drawn.  On failure
+    ``counterexample`` holds the first offending input, and
+    ``inputs_checked`` counts the inputs up to it, though the rest of a
+    sampled batch ran too.
     """
 
     __slots__ = (
@@ -338,49 +374,127 @@ def check_sorting_exhaustive(network: Network) -> VerificationReport:
     )
 
 
+def _field(value: int) -> bytes:
+    """The packed field of a signed 64-bit ``value``: ``value + 2**63``
+    in 8 little-endian bytes, then a zero byte holding the guard bit."""
+    return (value - _INT64_MIN).to_bytes(9, "little")
+
+
+def _random_fields(rng: random.Random) -> Iterator[bytes]:
+    """Endless packed fields of ``rng.randint(_INT64_MIN, _INT64_MAX)``,
+    one call after another, drawn ``_DRAWS`` records at a time.
+
+    That call is ``_INT64_MIN + getrandbits(65)``, drawn again while it is
+    at least ``2**64``: three 32-bit words of the generator, the lowest
+    first, accepted when the third is below ``2**31``, as only its top
+    bit is kept.  An accepted draw's field is its first two words.
+    """
+    from struct import iter_unpack
+
+    while True:
+        words = rng.getrandbits(96 * _DRAWS).to_bytes(12 * _DRAWS, "little")
+        for low, high in iter_unpack("<QI", words):
+            if high < 1 << 31:
+                yield low.to_bytes(9, "little")
+
+
+def _run_packed(comparators: list, lanes: list[int], count: int) -> int | None:
+    """Run compiled ``comparators`` in place on ``lanes`` holding ``count``
+    packed cases, and return the index of the first case left unsorted,
+    or None.  See the module docstring for the guard arithmetic."""
+    guards = _repeat(1 << 64, _FIELD_BITS, count)
+    for link, flip, lows in comparators:
+        for i in lows:
+            j = link[i]
+            a, b = lanes[i], lanes[j]
+            ge = ((a | guards) - b) & guards
+            swap = (a ^ b) & (ge - (ge >> 64))
+            if flip[i]:
+                lanes[i], lanes[j] = b ^ swap, a ^ swap
+            else:
+                lanes[i], lanes[j] = a ^ swap, b ^ swap
+    ascending = guards
+    for a, b in zip(lanes, lanes[1:]):
+        ascending &= (b | guards) - a
+    failing = guards ^ ascending
+    return (failing & -failing).bit_length() // _FIELD_BITS if failing else None
+
+
+def _first_unsorted(network: Network, cases: Iterable) -> int | None:
+    """Index of the first of ``cases`` that ``network`` leaves unsorted,
+    or None.  Each case holds one packed field per line; they run
+    ``_BATCH`` at a time, packed into one lane per line, and the network
+    is compiled when the first batch runs."""
+    cases, comparators, checked = iter(cases), None, 0
+    while True:
+        lanes, count = [bytearray() for _ in range(network.width)], 0
+        for case in itertools.islice(cases, _BATCH):
+            for lane, field in zip(lanes, case):
+                lane += field
+            count += 1
+        if not count:
+            return None
+        if comparators is None:
+            comparators = _comparators(network)
+        # Each buffer gives way to its integer, so the batch is held once.
+        for line, lane in enumerate(lanes):
+            lanes[line] = int.from_bytes(lane, "little")
+        failing = _run_packed(comparators, lanes, count)
+        if failing is not None:
+            return checked + failing
+        checked += count
+
+
 def check_sorting_oracle(
     network: Network, trials: int, seed: int = 0
 ) -> VerificationReport:
     """Sampled sorting check over integer tuples.
 
-    Tuples run through one compiled comparator list, and each output
-    must be a sorted permutation of its input.  Up to width
-    ``MAX_PERMUTATION_WIDTH`` the 0-1 check decides first.  A sorter runs
-    no tuple: its report says "sorting" and ``inputs_checked`` counts the
-    inputs that verdict covers, every permutation of ``range(width)``
-    plus the ``trials`` random tuples, which are never drawn.  Only a
-    network that fails runs tuples, the permutations in order, and its
-    counterexample is the first that fails.  Wider networks run
-    ``trials`` seeded random signed 64-bit tuples alone.  Identical seeds
-    give identical reports.  A negative ``trials`` raises
-    :class:`SortnetError`.
+    Up to width ``MAX_PERMUTATION_WIDTH`` the 0-1 check decides first.  A
+    sorter runs no tuple: its report says "sorting" and ``inputs_checked``
+    counts the inputs that verdict covers, every permutation of
+    ``range(width)`` plus the ``trials`` random tuples, which are never
+    drawn.  Only a network that fails runs tuples, the permutations in
+    order.  Wider networks run ``trials`` seeded random signed 64-bit
+    tuples alone, the values of ``random.Random(seed).randint(-2**63,
+    2**63 - 1)`` in turn, drawn in bulk.  The tuples run packed, 64 to a
+    batch, one pass over the compiled network per batch (see the module
+    docstring); the network is compiled only when a batch runs.  A
+    comparator only exchanges values, so an output that does not decrease
+    is a sorted permutation of its input.  The counterexample is the
+    first tuple that fails, drawn again and run through the plain
+    evaluator.  Identical seeds give identical reports.  A negative
+    ``trials`` raises :class:`SortnetError`.
     """
     if trials < 0:
         raise SortnetError(f"trials must be nonnegative, got {trials}")
     width, counterexample = network.width, None
+    # ``cases()`` makes the cases afresh, to draw a failing one again.
     if width <= MAX_PERMUTATION_WIDTH:
-        # A sorter runs no case, and one that fails an input with ``k`` zeros
+        # A sorter runs none, and one that fails an input with ``k`` zeros
         # fails each permutation with its values below ``k`` on those zeros.
-        ordered, covered = list(range(width)), math.factorial(width) + trials
-        cases, layers = (), [layer.pairs() for layer in network.layers]
-        if _first_failure(width, layers, {}) is not None:
-            cases = zip(itertools.permutations(ordered), itertools.repeat(ordered))
+        covered = math.factorial(width) + trials
+        layers = [layer.pairs() for layer in network.layers]
+        fails = _first_failure(width, layers, {}) is not None
+        fields = list(map(_field, range(width)))
+
+        def cases():
+            return itertools.permutations(fields) if fails else ()
     else:
-        rng, covered = random.Random(seed), trials
-        randoms = (
-            tuple(rng.randint(_INT64_MIN, _INT64_MAX) for _ in range(width))
-            for _ in range(trials)
-        )
-        cases = ((values, sorted(values)) for values in randoms)
-    comparators = _comparators(network)
-    for checked, (values, expected) in enumerate(cases, 1):
-        out = _evaluate(comparators, values)
-        # The inputs are integers, so this one comparison means "a sorted
-        # permutation of the input".
-        if out != expected:
-            counterexample = Counterexample(tuple(values), tuple(out))
-            covered = checked
-            break
+        covered = trials
+
+        def cases():
+            fields = _random_fields(random.Random(seed))
+            return (itertools.islice(fields, width) for _ in range(trials))
+
+    failing = _first_unsorted(network, cases())
+    if failing is not None:
+        # The failing case is drawn again, not kept: holding every batch's
+        # inputs beside its lanes would double the oracle's memory.
+        case = next(itertools.islice(cases(), failing, None))
+        values = tuple(int.from_bytes(field, "little") + _INT64_MIN for field in case)
+        out = _evaluate(_comparators(network), values)
+        counterexample, covered = Counterexample(values, tuple(out)), failing + 1
     return VerificationReport(
         width=width,
         inputs_checked=covered,

@@ -7,7 +7,8 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import networks_with_int_tuples
 from sortnet import verify
@@ -750,31 +751,117 @@ def test_oracle_matches_the_per_tuple_oracle_on_small_sorters_and_mutants():
 
 
 def test_oracle_runs_no_tuple_through_a_small_sorter(monkeypatch):
-    def refuse(comparators, values):
-        raise AssertionError(f"{values} ran")
+    def refuse(comparators, lanes, count):
+        raise AssertionError(f"a batch of {count} ran")
 
-    monkeypatch.setattr(verify, "_evaluate", refuse)
+    monkeypatch.setattr(verify, "_run_packed", refuse)
     report = check_sorting_oracle(batcher(3), 100)
     assert report == verify.VerificationReport(
         width=8, inputs_checked=40320 + 100, mode="sampled", is_sorting=True,
         seed=0, trials=100,
     )
-    # A network that fails, or is wider than 8, still runs every tuple.
+    # A network that fails, or is wider than 8, still runs its cases, in
+    # batches up to the one holding the first that fails, and only that
+    # one runs through the plain evaluator.
     monkeypatch.undo()
-    evaluate, runs = verify._evaluate, []
+    run_packed, evaluate, batches, runs = verify._run_packed, verify._evaluate, [], []
 
-    def count(comparators, values):
+    def count_cases(comparators, lanes, count):
+        batches.append(count)
+        return run_packed(comparators, lanes, count)
+
+    def count_runs(comparators, values):
         runs.append(values)
         return evaluate(comparators, values)
 
-    monkeypatch.setattr(verify, "_evaluate", count)
+    monkeypatch.setattr(verify, "_run_packed", count_cases)
+    monkeypatch.setattr(verify, "_evaluate", count_runs)
     mutant = next(drop_mutants(batcher(3)))
     report = check_sorting_oracle(mutant, 100)
-    assert not report.is_sorting and report.inputs_checked == len(runs) == 5041
+    assert not report.is_sorting and report.inputs_checked == 5041
+    assert sum(batches[:-1]) < 5041 <= sum(batches) and len(runs) == 1
     assert report == check_sorting_oracle_spec(mutant, 100)
+    batches.clear()
     runs.clear()
     report = check_sorting_oracle(odd_even_transposition(9), 5)
-    assert report.is_sorting and report.inputs_checked == len(runs) == 5
+    assert report.is_sorting and report.inputs_checked == 5
+    assert batches == [5] and not runs
+
+
+def test_oracle_compiles_no_small_sorter(monkeypatch):
+    def refuse(network):
+        raise AssertionError(f"width-{network.width} network compiled")
+
+    monkeypatch.setattr(verify, "_comparators", refuse)
+    for name, net in generator_variants(3).items():
+        if name != "bfsort-flip":  # it sorts descending
+            report = check_sorting_oracle(net, 20)
+            assert report.is_sorting and report.inputs_checked == 40320 + 20
+
+
+INT64_EXTREMES = (-(2**63), -1, 0, 2**63 - 1)
+
+
+@settings(deadline=None)
+@given(
+    width=st.integers(0, 40),
+    count=st.sampled_from([1, 63, 64, 65, 129]),
+    kind=st.sampled_from(["random", "sorter", "mutant"]),
+    constant=st.sampled_from([0, 62, 63, 64, 65, 127, 128]) | st.integers(0, 128),
+    tied_share=st.sampled_from([0.0, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_packed_runner_matches_per_case_evaluate(
+    width, count, kind, constant, tied_share, seed
+):
+    # Constant tuples pass every network, so up to ``constant`` of them in
+    # front move the first failing case across the batch edges.  The values are
+    # 64-bit, from a small range with the extremes (ties) or not.
+    rng = random.Random(seed)
+    net = random_network(width, rng.randint(0, 6), rng)
+    if kind != "random":
+        sorter = odd_even_transposition(width)
+        if kind == "mutant" and width > 1:
+            sorter = rng.choice(list(drop_mutants(sorter)))
+        net = Network(width, net.layers + sorter.layers)
+    net = with_flags(net, rng)
+    pool = INT64_EXTREMES + (1, 2)
+
+    def value():
+        if rng.random() < tied_share:
+            return rng.choice(pool)
+        return rng.randint(-(2**63), 2**63 - 1)
+
+    cases = [(value(),) * width for _ in range(min(constant, count - 1))]
+    cases += [tuple(value() for _ in range(width)) for _ in range(count - len(cases))]
+    comparators = verify._comparators(net)
+    expected = next(
+        (k for k, case in enumerate(cases)
+         if not is_sorted(verify._evaluate(comparators, case))),
+        None,
+    )
+    packed = [map(verify._field, case) for case in cases]
+    assert verify._first_unsorted(net, packed) == expected
+    if expected is not None:
+        assert not is_sorted(net.apply(cases[expected]))
+
+
+def test_random_fields_follow_randint():
+    # Half the draws are kept, so 2 * _DRAWS fields take about four refills.
+    class CountingRandom(random.Random):
+        refills = 0
+
+        def getrandbits(self, k):
+            self.refills += 1
+            return super().getrandbits(k)
+
+    for seed in range(20):
+        expected, rng = random.Random(seed), CountingRandom(seed)
+        fields = verify._random_fields(rng)
+        for field in itertools.islice(fields, 2 * verify._DRAWS):
+            value = int.from_bytes(field, "little") - 2**63
+            assert value == expected.randint(-(2**63), 2**63 - 1)
+        assert rng.refills >= 3
 
 
 def test_oracle_draws_no_random_tuple_up_to_the_permutation_width(monkeypatch):
