@@ -2,7 +2,8 @@
 exits 0 and prints its first row.
 
 ``tools/engine.py`` calls the private ``verify._first_failure``, so a
-change of that signature breaks the tool without failing any other test.
+change of that signature breaks the tool without failing any other test;
+its ``--oracle`` mode calls ``verify.check_sorting_oracle``.
 """
 
 import subprocess
@@ -19,9 +20,10 @@ TOOLS = Path(__file__).resolve().parent.parent / "tools"
     [
         (["loc.py"], "__init__.py "),
         (["engine.py", "-n", "1", "3"], "network       m        ms"),
+        (["engine.py", "-n", "1", "--oracle", "5", "4"], "network       m        ms"),
         (["startup.py", "1"], "median of 1 fresh interpreters"),
     ],
-    ids=["loc", "engine", "startup"],
+    ids=["loc", "engine", "engine-oracle", "startup"],
 )
 def test_tool_runs(argv, first_row):
     proc = subprocess.run(
