@@ -382,13 +382,8 @@ def _field(value: int) -> bytes:
 
 def _random_fields(rng: random.Random) -> Iterator[bytes]:
     """Endless packed fields of ``rng.randint(_INT64_MIN, _INT64_MAX)``,
-    one call after another, drawn ``_DRAWS`` records at a time.
-
-    That call is ``_INT64_MIN + getrandbits(65)``, drawn again while it is
-    at least ``2**64``: three 32-bit words of the generator, the lowest
-    first, accepted when the third is below ``2**31``, as only its top
-    bit is kept.  An accepted draw's field is its first two words.
-    """
+    one call after another, read ``_DRAWS`` draws of ``getrandbits(65)``
+    at a time (see the module docstring)."""
     from struct import iter_unpack
 
     while True:
@@ -426,23 +421,21 @@ def _first_unsorted(network: Network, cases: Iterable) -> int | None:
     ``_BATCH`` at a time, packed into one lane per line, and the network
     is compiled when the first batch runs."""
     cases, comparators, checked = iter(cases), None, 0
-    while True:
-        lanes, count = [bytearray() for _ in range(network.width)], 0
-        for case in itertools.islice(cases, _BATCH):
-            for lane, field in zip(lanes, case):
-                lane += field
-            count += 1
-        if not count:
-            return None
+    while batch := list(itertools.islice(cases, _BATCH)):
         if comparators is None:
             comparators = _comparators(network)
+        lanes = [bytearray() for _ in range(network.width)]
+        for case in batch:
+            for lane, field in zip(lanes, case):
+                lane += field
         # Each buffer gives way to its integer, so the batch is held once.
         for line, lane in enumerate(lanes):
             lanes[line] = int.from_bytes(lane, "little")
-        failing = _run_packed(comparators, lanes, count)
+        failing = _run_packed(comparators, lanes, len(batch))
         if failing is not None:
             return checked + failing
-        checked += count
+        checked += len(batch)
+    return None
 
 
 def check_sorting_oracle(
@@ -476,10 +469,9 @@ def check_sorting_oracle(
         covered = math.factorial(width) + trials
         layers = [layer.pairs() for layer in network.layers]
         fails = _first_failure(width, layers, {}) is not None
-        fields = list(map(_field, range(width)))
 
         def cases():
-            return itertools.permutations(fields) if fails else ()
+            return itertools.permutations(map(_field, range(width))) if fails else ()
     else:
         covered = trials
 
