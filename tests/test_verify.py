@@ -815,8 +815,8 @@ def test_packed_runner_matches_per_case_evaluate(
     width, count, kind, constant, tied_share, seed
 ):
     # Constant tuples pass every network, so up to ``constant`` of them in
-    # front move the first failing case across the batch edges.  The values are
-    # 64-bit, from a small range with the extremes (ties) or not.
+    # front move the first failing case across the batch edges.  The
+    # values are 64-bit, from a small range with the extremes (ties) or not.
     rng = random.Random(seed)
     net = random_network(width, rng.randint(0, 6), rng)
     if kind != "random":
