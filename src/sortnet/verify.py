@@ -418,23 +418,27 @@ def _run_packed(comparators: list, lanes: list[int], count: int) -> int | None:
 def _first_unsorted(network: Network, cases: Iterable) -> int | None:
     """Index of the first of ``cases`` that ``network`` leaves unsorted,
     or None.  Each case holds one packed field per line; they run
-    ``_BATCH`` at a time, packed into one lane per line, and the network
-    is compiled when the first batch runs."""
+    ``_BATCH`` at a time, each read once into one byte buffer per line,
+    and the network is compiled when the first batch runs."""
     cases, comparators, checked = iter(cases), None, 0
-    while batch := list(itertools.islice(cases, _BATCH)):
+    for case in cases:
         if comparators is None:
             comparators = _comparators(network)
-        lanes = [bytearray() for _ in range(network.width)]
-        for case in batch:
+        lanes, count = list(map(bytearray, case)), 1
+        for case in itertools.islice(cases, _BATCH - 1):
             for lane, field in zip(lanes, case):
                 lane += field
+            count += 1
+            # Freed before the next is drawn: a case of width 1024 holds
+            # 50 KB of fields.
+            del case
         # Each buffer gives way to its integer, so the batch is held once.
         for line, lane in enumerate(lanes):
             lanes[line] = int.from_bytes(lane, "little")
-        failing = _run_packed(comparators, lanes, len(batch))
+        failing = _run_packed(comparators, lanes, count)
         if failing is not None:
             return checked + failing
-        checked += len(batch)
+        checked += count
     return None
 
 
@@ -462,7 +466,8 @@ def check_sorting_oracle(
     if trials < 0:
         raise SortnetError(f"trials must be nonnegative, got {trials}")
     width, counterexample = network.width, None
-    # ``cases()`` makes the cases afresh, to draw a failing one again.
+    # ``cases()`` makes the cases afresh, each a tuple of one field per
+    # line, to draw a failing one again.
     if width <= MAX_PERMUTATION_WIDTH:
         # A sorter runs none, and one that fails an input with ``k`` zeros
         # fails each permutation with its values below ``k`` on those zeros.
@@ -477,7 +482,7 @@ def check_sorting_oracle(
 
         def cases():
             fields = _random_fields(random.Random(seed))
-            return (itertools.islice(fields, width) for _ in range(trials))
+            return (tuple(itertools.islice(fields, width)) for _ in range(trials))
 
     failing = _first_unsorted(network, cases())
     if failing is not None:

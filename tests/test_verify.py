@@ -722,6 +722,21 @@ def test_oracle_matches_the_per_tuple_oracle_on_generators(net):
     assert report == check_sorting_oracle_spec(net, 30, 11)
 
 
+def test_oracle_matches_the_per_tuple_oracle_on_wide_drop_mutants():
+    # A mutant missing one comparator fails few random tuples, so its
+    # first failing tuple lies anywhere among the 100, often in the second
+    # batch, and is the one the report must name.
+    firsts = collections.Counter()
+    for width in range(9, 13):
+        for seed in range(3):
+            for mutant in drop_mutants(odd_even_transposition(width)):
+                report = check_sorting_oracle(mutant, 100, seed)
+                assert report == check_sorting_oracle_spec(mutant, 100, seed)
+                if not report.is_sorting:
+                    firsts[report.inputs_checked > 1, report.inputs_checked > 64] += 1
+    assert firsts[True, False] and firsts[True, True]
+
+
 def small_oracle_corpus():
     """Networks of widths 0 to 8: the generated ones at m = 3 with their
     one-flip mutants, the one-drop mutants of two of them, and seeded
