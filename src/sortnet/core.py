@@ -242,16 +242,25 @@ class Network(_Record):
         """Thread a tuple through every layer in order.
 
         This is the one evaluator for ordered values: the network is
-        compiled into its list of comparators and :func:`_evaluate` runs
-        them on one working list.  A plain comparator leaves two equal
-        values where they are; a flipped one acts as the plain one
-        followed by exchanging its two lines.
+        compiled into its list of comparators, which run on one working
+        list.  The low line receives the minimum, or the maximum under a
+        true flag: a pair swaps when ``a <= b`` and its flag have the same
+        truth, so a plain comparator leaves two equal values where they
+        are and a flipped one acts as the plain one followed by
+        exchanging its two lines.
         """
         if len(values) != self.width:
             raise WidthMismatch(
                 f"tuple of length {len(values)} applied to width {self.width}"
             )
-        return tuple(_evaluate(_comparators(self), values))
+        out = list(values)
+        for link, flip, lows in _comparators(self):
+            for i in lows:
+                j = link[i]
+                a, b = out[i], out[j]
+                if (not a <= b) is (not flip[i]):
+                    out[i], out[j] = b, a
+        return tuple(out)
 
     def __add__(self, other: "Network") -> "Network":
         if not isinstance(other, Network):
@@ -265,8 +274,9 @@ class Network(_Record):
 
 def _comparators(network: Network) -> list[tuple[tuple, tuple, list]]:
     """The comparators of ``network`` in evaluation order, for
-    :func:`_evaluate`: per layer its ``link`` and ``flip`` maps and the low
-    lines of its comparators, the ``x`` with ``link[x] > x``, ascending.
+    :meth:`Network.apply` and the sampled oracle's packed runner: per
+    layer its ``link`` and ``flip`` maps and the low lines of its
+    comparators, the ``x`` with ``link[x] > x``, ascending.
 
     Compiling costs one C-level pass over each layer's lines; the
     comparators' high lines and flags are read from the maps as they run.
@@ -277,18 +287,3 @@ def _comparators(network: Network) -> list[tuple[tuple, tuple, list]]:
         for layer in network.layers
     ]
 
-
-def _evaluate(
-    comparators: list[tuple[tuple, tuple, list]], values: Sequence[V]
-) -> list[V]:
-    """Run compiled ``comparators`` on ``values``: the low line receives
-    the minimum, or the maximum under a true flag: a pair swaps when
-    ``a <= b`` and its flag have the same truth, so ties swap only flipped."""
-    out = list(values)
-    for link, flip, lows in comparators:
-        for i in lows:
-            j = link[i]
-            a, b = out[i], out[j]
-            if (not a <= b) is (not flip[i]):
-                out[i], out[j] = b, a
-    return out

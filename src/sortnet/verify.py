@@ -46,17 +46,20 @@ within a chunk, which fixes its smallest input, and a chunk whose
 smallest input lies above a failure already found is skipped.  When all
 blocks are single lines element ``e`` is input number ``e``, the order is
 lexicographic, and every chunk after the first failing one is skipped.
-Reported counterexamples are recomputed through the plain evaluator, so
+Reported counterexamples are recomputed through ``Network.apply``, so
 they are independently reproducible.
 
 The sampled oracle runs integer tuples packed, with the same
-bit-parallel idea as SIMD within a register (Lamport, CACM 1975): its
-cases run ``_BATCH`` (64) at a time, and lane ``i`` is one big integer
-whose field ``k``, bits ``72k`` to ``72k + 71``, holds case ``k``'s value
-on line ``i`` plus ``2**63`` in its low 64 bits, and a clear guard bit at
-bit 64.  With ``G`` the guard bits of every field, a field of ``(a | G) -
-b`` is ``2**64 + a_k - b_k``, between 1 and ``2**65 - 1``: it borrows
-from its own guard when ``a_k < b_k`` and never from the next field.  So
+bit-parallel idea as SIMD within a register (Lamport, CACM 1975).  Its
+cases come as one flat stream of packed fields, case after case, one
+field per line, and run ``_BATCH`` (64) at a time: a batch's ``width *
+_BATCH`` fields are read in turn into one byte buffer per line, so lane
+``i`` is one big integer whose field ``k``, bits ``72k`` to ``72k + 71``,
+holds case ``k``'s value on line ``i`` plus ``2**63`` in its low 64
+bits, and a clear guard bit at bit 64.  With ``G`` the guard bits of
+every field, a field of ``(a | G) - b`` is ``2**64 + a_k - b_k``,
+between 1 and ``2**65 - 1``: it borrows from its own guard when ``a_k <
+b_k`` and never from the next field.  So
 ``ge = ((a | G) - b) & G`` keeps the guards of the fields with ``a_k >=
 b_k``, ``ge - (ge >> 64)`` widens each into 64 ones, and ``swap = (a ^
 b) & (ge - (ge >> 64))`` gives the minimum ``a ^ swap`` and the maximum
@@ -64,9 +67,12 @@ b) & (ge - (ge >> 64))`` gives the minimum ``a ^ swap`` and the maximum
 values, so an output that does not decrease is a sorted permutation of
 its input, and the first failing case is the lowest field whose guard is
 clear in ``((b | G) - a) & G`` for some adjacent lanes ``a`` and ``b``.
-It is drawn again and run through the plain evaluator, so counterexamples
-are independently reproducible.  The network is compiled into its
-comparator list when the first batch runs.
+Its fields, ``failing * width`` up to ``(failing + 1) * width`` of a
+fresh stream, are drawn again and run through ``Network.apply``, as the
+exhaustive check runs its counterexample, so counterexamples are
+independently reproducible; no batch's inputs are kept.  The stream is
+read one batch ahead of the run at most, and the network is compiled
+into its comparator list when the first batch runs.
 
 Up to width ``MAX_PERMUTATION_WIDTH`` the check above runs first.  By
 the 0-1 principle at each threshold, a network that sorts every boolean
@@ -90,10 +96,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from operator import lt
 from typing import Iterable, Iterator
 
-from .core import Network, _Record, _comparators, _evaluate
+from .core import Network, _Record, _comparators
 from .errors import SortnetError, WidthTooLarge
 
 #: Exhaustive enumeration guard: 2**24 boolean inputs is the most this
@@ -148,10 +155,12 @@ class VerificationReport(_Record):
     ``mode`` is ``"exhaustive"`` (all boolean inputs in lexicographic
     order, False before True) or ``"sampled"`` (integer tuples: on small
     widths the permutations of ``range(width)``, run only through a
-    network that fails, and on wider ones seeded random tuples, run 64 to
-    a batch).  A small sorter's ``inputs_checked`` also counts the
-    ``trials`` random tuples, which are never drawn.  On failure
-    ``counterexample`` holds the first offending input, and
+    network that fails, and on wider ones seeded random tuples; either
+    kind runs 64 to a batch, read from one flat stream of packed fields,
+    and a failing tuple is drawn again from a fresh stream and replayed
+    through ``Network.apply``).  A small sorter's ``inputs_checked``
+    also counts the ``trials`` random tuples, which are never drawn.  On
+    failure ``counterexample`` holds the first offending input, and
     ``inputs_checked`` counts the inputs up to it, though the rest of a
     sampled batch ran too.
     """
@@ -415,23 +424,23 @@ def _run_packed(comparators: list, lanes: list[int], count: int) -> int | None:
     return (failing & -failing).bit_length() // _FIELD_BITS if failing else None
 
 
-def _first_unsorted(network: Network, cases: Iterable) -> int | None:
-    """Index of the first of ``cases`` that ``network`` leaves unsorted,
-    or None.  Each case holds one packed field per line; they run
-    ``_BATCH`` at a time, each read once into one byte buffer per line,
-    and the network is compiled when the first batch runs."""
-    cases, comparators, checked = iter(cases), None, 0
-    for case in cases:
+def _first_unsorted(network: Network, fields: Iterable[bytes]) -> int | None:
+    """Index of the first case that ``network`` leaves unsorted, or None.
+    ``fields`` runs case after case, one packed field per line.  The cases
+    run ``_BATCH`` at a time: a batch's fields are read in turn into one
+    byte buffer per line, and the network is compiled when the first
+    batch runs.  Cases of width 0 have no fields, and sort."""
+    width, fields, comparators, checked = network.width, iter(fields), None, 0
+    while width:
+        lanes = [bytearray() for _ in range(width)]
+        batch = itertools.islice(fields, width * _BATCH)
+        for lane, field in zip(itertools.cycle(lanes), batch):
+            lane += field
+        count = len(lanes[0]) * 8 // _FIELD_BITS
+        if not count:
+            return None
         if comparators is None:
             comparators = _comparators(network)
-        lanes, count = list(map(bytearray, case)), 1
-        for case in itertools.islice(cases, _BATCH - 1):
-            for lane, field in zip(lanes, case):
-                lane += field
-            count += 1
-            # Freed before the next is drawn: a case of width 1024 holds
-            # 50 KB of fields.
-            del case
         # Each buffer gives way to its integer, so the batch is held once.
         for line, lane in enumerate(lanes):
             lanes[line] = int.from_bytes(lane, "little")
@@ -455,43 +464,46 @@ def check_sorting_oracle(
     order.  Wider networks run ``trials`` seeded random signed 64-bit
     tuples alone, the values of ``random.Random(seed).randint(-2**63,
     2**63 - 1)`` in turn, drawn in bulk.  The tuples run packed, 64 to a
-    batch, one pass over the compiled network per batch (see the module
-    docstring); the network is compiled only when a batch runs.  A
-    comparator only exchanges values, so an output that does not decrease
-    is a sorted permutation of its input.  The counterexample is the
-    first tuple that fails, drawn again and run through the plain
-    evaluator.  Identical seeds give identical reports.  A negative
-    ``trials`` raises :class:`SortnetError`.
+    batch, one pass over the compiled network per batch, read from one
+    flat stream of packed fields, case after case, one field per line
+    (see the module docstring); the network is compiled only when a
+    batch runs.  A comparator only exchanges values, so an output that
+    does not decrease is a sorted permutation of its input.  The
+    counterexample is the first tuple that fails: its fields are read
+    again from a fresh stream and its output comes from
+    :meth:`Network.apply`.  Identical seeds give identical reports.  Any
+    nonnegative ``trials`` is taken; a negative one raises
+    :class:`SortnetError`.
     """
     if trials < 0:
         raise SortnetError(f"trials must be nonnegative, got {trials}")
-    width, counterexample = network.width, None
-    # ``cases()`` makes the cases afresh, each a tuple of one field per
-    # line, to draw a failing one again.
-    if width <= MAX_PERMUTATION_WIDTH:
+    width, covered, counterexample = network.width, trials, None
+    runs = width > MAX_PERMUTATION_WIDTH
+    if not runs:
         # A sorter runs none, and one that fails an input with ``k`` zeros
         # fails each permutation with its values below ``k`` on those zeros.
-        covered = math.factorial(width) + trials
+        covered += math.factorial(width)
         layers = [layer.pairs() for layer in network.layers]
-        fails = _first_failure(width, layers, {}) is not None
+        runs = _first_failure(width, layers, {}) is not None
 
-        def cases():
-            return itertools.permutations(map(_field, range(width))) if fails else ()
-    else:
-        covered = trials
+    def fields():
+        # The cases' fields, case after case, made afresh to draw one again.
+        if width <= MAX_PERMUTATION_WIDTH:
+            cases = itertools.permutations(map(_field, range(width)))
+            return itertools.chain.from_iterable(cases)
+        # ``islice`` takes no bound above ``sys.maxsize``; no run reads that
+        # many fields.
+        bound = min(trials * width, sys.maxsize)
+        return itertools.islice(_random_fields(random.Random(seed)), bound)
 
-        def cases():
-            fields = _random_fields(random.Random(seed))
-            return (tuple(itertools.islice(fields, width)) for _ in range(trials))
-
-    failing = _first_unsorted(network, cases())
+    failing = _first_unsorted(network, fields()) if runs else None
     if failing is not None:
         # The failing case is drawn again, not kept: holding every batch's
         # inputs beside its lanes would double the oracle's memory.
-        case = next(itertools.islice(cases(), failing, None))
+        case = itertools.islice(fields(), failing * width, (failing + 1) * width)
         values = tuple(int.from_bytes(field, "little") + _INT64_MIN for field in case)
-        out = _evaluate(_comparators(network), values)
-        counterexample, covered = Counterexample(values, tuple(out)), failing + 1
+        counterexample = Counterexample(values, network.apply(values))
+        covered = failing + 1
     return VerificationReport(
         width=width,
         inputs_checked=covered,

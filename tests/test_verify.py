@@ -14,6 +14,7 @@ from conftest import networks_with_int_tuples
 from sortnet import verify
 from sortnet.batcher import batcher
 from sortnet.bitonic import bfsort, bsort
+from sortnet.cli import main, render_text
 from sortnet.combinators import cswap, neomerge, nmerge
 from sortnet.core import Connector, Network
 from sortnet.errors import SortnetError, WidthTooLarge
@@ -777,20 +778,20 @@ def test_oracle_runs_no_tuple_through_a_small_sorter(monkeypatch):
     )
     # A network that fails, or is wider than 8, still runs its cases, in
     # batches up to the one holding the first that fails, and only that
-    # one runs through the plain evaluator.
+    # one is replayed, once, through ``Network.apply``.
     monkeypatch.undo()
-    run_packed, evaluate, batches, runs = verify._run_packed, verify._evaluate, [], []
+    run_packed, apply, batches, runs = verify._run_packed, Network.apply, [], []
 
     def count_cases(comparators, lanes, count):
         batches.append(count)
         return run_packed(comparators, lanes, count)
 
-    def count_runs(comparators, values):
+    def count_runs(network, values):
         runs.append(values)
-        return evaluate(comparators, values)
+        return apply(network, values)
 
     monkeypatch.setattr(verify, "_run_packed", count_cases)
-    monkeypatch.setattr(verify, "_evaluate", count_runs)
+    monkeypatch.setattr(Network, "apply", count_runs)
     mutant = next(drop_mutants(batcher(3)))
     report = check_sorting_oracle(mutant, 100)
     assert not report.is_sorting and report.inputs_checked == 5041
@@ -812,6 +813,52 @@ def test_oracle_compiles_no_small_sorter(monkeypatch):
         if name != "bfsort-flip":  # it sorts descending
             report = check_sorting_oracle(net, 20)
             assert report.is_sorting and report.inputs_checked == 40320 + 20
+
+
+def test_oracle_reads_at_most_one_batch_ahead(monkeypatch):
+    # The fields are read a batch at a time, just before the batch runs,
+    # and the replay reads the fields up to the failing case's own.
+    random_fields, run_packed, streams, runs = (
+        verify._random_fields, verify._run_packed, [], []
+    )
+
+    def count_fields(rng):
+        streams.append(0)
+        for field in random_fields(rng):
+            streams[-1] += 1
+            yield field
+
+    def count_runs(comparators, lanes, count):
+        runs.append((streams[-1], count))
+        return run_packed(comparators, lanes, count)
+
+    monkeypatch.setattr(verify, "_random_fields", count_fields)
+    monkeypatch.setattr(verify, "_run_packed", count_runs)
+    assert check_sorting_oracle(odd_even_transposition(9), 200).is_sorting
+    assert runs == [(9 * 64, 64), (9 * 128, 64), (9 * 192, 64), (9 * 200, 8)]
+    assert streams == [9 * 200]
+    streams.clear()
+    runs.clear()
+    mutant = list(drop_mutants(odd_even_transposition(10)))[1]
+    report = check_sorting_oracle(mutant, 200)
+    assert report == check_sorting_oracle_spec(mutant, 200)
+    failing = report.inputs_checked - 1
+    assert 64 <= failing < 128 and [count for _, count in runs] == [64, 64]
+    assert streams == [10 * 128, (failing + 1) * 10]
+
+
+def test_oracle_takes_any_number_of_trials(tmp_path, capsys):
+    # ``trials * width`` fields may pass ``sys.maxsize``; the first random
+    # tuple still fails a descending sorter.
+    net = bfsort(True, 4)
+    report = check_sorting_oracle(net, 10**30)
+    assert not report.is_sorting and report.inputs_checked == 1
+    path = tmp_path / "descending.snet"
+    path.write_text(render_text(net))
+    assert main(["verify", str(path), "--oracle", str(10**20)]) == 1
+    captured = capsys.readouterr()
+    assert "result: counterexample" in captured.out
+    assert "Traceback" not in captured.out + captured.err
 
 
 INT64_EXTREMES = (-(2**63), -1, 0, 2**63 - 1)
@@ -849,14 +896,11 @@ def test_packed_runner_matches_per_case_evaluate(
 
     cases = [(value(),) * width for _ in range(min(constant, count - 1))]
     cases += [tuple(value() for _ in range(width)) for _ in range(count - len(cases))]
-    comparators = verify._comparators(net)
     expected = next(
-        (k for k, case in enumerate(cases)
-         if not is_sorted(verify._evaluate(comparators, case))),
-        None,
+        (k for k, case in enumerate(cases) if not is_sorted(net.apply(case))), None
     )
-    packed = [map(verify._field, case) for case in cases]
-    assert verify._first_unsorted(net, packed) == expected
+    fields = itertools.chain.from_iterable(map(verify._field, case) for case in cases)
+    assert verify._first_unsorted(net, fields) == expected
     if expected is not None:
         assert not is_sorted(net.apply(cases[expected]))
 
