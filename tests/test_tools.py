@@ -3,7 +3,8 @@ exits 0 and prints its first row.
 
 ``tools/engine.py`` calls the private ``verify._first_failure``, so a
 change of that signature breaks the tool without failing any other test;
-its ``--oracle`` mode calls ``verify.check_sorting_oracle``.
+its ``--oracle`` mode calls ``verify.check_sorting_oracle``, whose
+verdict column is checked.
 """
 
 import subprocess
@@ -32,3 +33,13 @@ def test_tool_runs(argv, first_row):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(first_row), proc.stdout
+    if "--oracle" in argv:
+        # The verdict column: only the descending sorter fails, on its
+        # first tuple, which is replayed; the others take the 0-1 verdict.
+        verdicts = {
+            row.split()[0]: row.split()[-2:] for row in proc.stdout.splitlines()[1:]
+        }
+        assert verdicts == {
+            name: ["False", "1"] if name == "bfsort-flip" else ["True", "5"]
+            for name in ("bsort", "bfsort", "bfsort-flip", "knuth", "batcher")
+        }, proc.stdout
