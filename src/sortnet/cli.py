@@ -20,20 +20,22 @@ is built through the ordinary, checking constructor.
 Commands: ``gen`` writes a generated network as text or SVG, ``verify``
 decides the sorting property (exit 0 sorting, 1 counterexample, 2 usage
 or parse error), ``apply`` runs a network on a tuple of integers, and
-``stats`` prints layer/comparator counts.  ``COMMANDS`` names each once.
-A call that names a command builds the argument parser of that command
-only, the one ``build_parser`` adds as its sub-parser, and parses the
-arguments after the name with it.  Help, no arguments, an unknown
-command and arguments left over go through the full ``build_parser()``,
-whose help and errors name every command.
+``stats`` prints layer/comparator counts.  ``COMMANDS`` names each once,
+with its arguments declared once as the keywords of argparse's
+``add_argument``.  A plain call (options spelled in full, once each, and
+one run of positionals; see ``_read_call``) is read from those
+declarations without argparse, which is neither imported nor built for
+it.  Help, no arguments, an unknown command and any other call go
+through the full ``build_parser()``, the only place that imports
+argparse, whose help and errors name every command.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from itertools import repeat
 from operator import contains
+from types import SimpleNamespace
 
 from .batcher import batcher
 from .bitonic import bfsort, bsort
@@ -166,9 +168,11 @@ def _parse_layer(
         and all(map(contains, tokens, repeat("-")))
     ):
         link, flip = list(lines), [False] * len(lines)
-        for low, high, flipped in zip(names[0::2], names[1::2], flags):
+        for low, high in zip(names[0::2], names[1::2]):
             link[low], link[high] = high, low
-            flip[low] = flip[high] = flipped
+        if "!" in body:  # else every flag stays False
+            for low, high, flipped in zip(names[0::2], names[1::2], flags):
+                flip[low] = flip[high] = flipped
         return Connector(len(lines), link, flip)
     pairs = []
     for token, flipped in zip(tokens, flags):
@@ -380,84 +384,137 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _source_argument(parser) -> None:
-    parser.add_argument("source", nargs="+", metavar="FILE|ALGO M")
+_SOURCE = ("source", {"nargs": "+", "metavar": "FILE|ALGO M"})
+#: The options of which a call may give one: ``verify``'s two modes.
+_MODES = ("--exhaustive", "--oracle")
 
-
-def _gen_arguments(parser) -> None:
-    parser.add_argument("algorithm", choices=GENERATORS)
-    parser.add_argument("m", type=int, help="size exponent; the network has 2**m lines")
-    parser.add_argument(
-        "--flip", action="store_true", help="descending orientation (bfsort only)"
-    )
-    parser.add_argument("--out", metavar="FILE", help="write to FILE instead of stdout")
-    parser.add_argument("--format", choices=("text", "svg"), default="text")
-
-
-def _verify_arguments(parser) -> None:
-    _source_argument(parser)
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--exhaustive",
-        action="store_true",
-        help="check all boolean inputs (default)",
-    )
-    mode.add_argument(
-        "--oracle",
-        type=int,
-        metavar="TRIALS",
-        help="sampled check: TRIALS seeded random tuples above width 8; up to "
-        "width 8 the boolean check decides, and a network that fails runs "
-        "the permutations",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="seed for --oracle")
-
-
-def _apply_arguments(parser) -> None:
-    _source_argument(parser)
-    parser.add_argument(
-        "--input", required=True, metavar="V1,V2,...", help="comma-separated integers"
-    )
-
-
-#: ``(help, add_arguments(parser), run(args))`` of each command.
+#: ``(help, arguments, run(args))`` of each command.  Each argument is the
+#: name and the keywords of its ``add_argument`` call in ``build_parser``;
+#: ``_read_call`` reads the same declarations.
 COMMANDS = {
-    "gen": ("generate a network and print or save it", _gen_arguments, _cmd_gen),
-    "verify": ("decide whether a network sorts", _verify_arguments, _cmd_verify),
-    "apply": ("run a network on a tuple of integers", _apply_arguments, _cmd_apply),
-    "stats": ("print layer and comparator counts", _source_argument, _cmd_stats),
+    "gen": ("generate a network and print or save it", (
+        ("algorithm", {"choices": GENERATORS}),
+        ("m", {"type": int, "help": "size exponent; the network has 2**m lines"}),
+        ("--flip", {
+            "action": "store_true", "help": "descending orientation (bfsort only)"
+        }),
+        ("--out", {"metavar": "FILE", "help": "write to FILE instead of stdout"}),
+        ("--format", {"choices": ("text", "svg"), "default": "text"}),
+    ), _cmd_gen),
+    "verify": ("decide whether a network sorts", (
+        _SOURCE,
+        ("--exhaustive", {
+            "action": "store_true", "help": "check all boolean inputs (default)"
+        }),
+        ("--oracle", {"type": int, "metavar": "TRIALS", "help": (
+            "sampled check: TRIALS seeded random tuples above width 8; up to "
+            "width 8 the boolean check decides, and a network that fails runs "
+            "the permutations"
+        )}),
+        ("--seed", {"type": int, "default": 0, "help": "seed for --oracle"}),
+    ), _cmd_verify),
+    "apply": ("run a network on a tuple of integers", (
+        _SOURCE,
+        ("--input", {
+            "required": True, "metavar": "V1,V2,...", "help": "comma-separated integers"
+        }),
+    ), _cmd_apply),
+    "stats": ("print layer and comparator counts", (_SOURCE,), _cmd_stats),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, with the sub-parser of every command."""
+def _read_call(name: str, words: list) -> SimpleNamespace | None:
+    """The arguments of a plain call of command ``name``, ``words`` the
+    words after the name, as its sub-parser in ``build_parser`` reads
+    them; None for any other call, which argparse then reads.
+
+    A call is plain when every word is a string, every option is spelled
+    in full and given at most once, a flag (``store_true``) has no ``=``,
+    a valued option is ``--opt=VALUE`` (VALUE not ``--``) or ``--opt
+    VALUE`` (VALUE not starting with ``-``), the positionals form one
+    unbroken run and none starts with ``-``, the required options are
+    given, at most one of ``_MODES`` is, and every value converts by its
+    ``type`` and is among its ``choices``.  An option's dest is its name
+    without the dashes, and its default ``False`` for a flag.  ``--help``,
+    abbreviations, ``--``, values with a leading minus and every error
+    are left to argparse.
+    """
+    declared = dict(COMMANDS[name][1])
+    positionals = [argument for argument in declared if argument[0] != "-"]
+    if not all(isinstance(word, str) for word in words):
+        return None
+    given, run, closed, pending = {}, [], False, iter(words)
+    for word in pending:
+        if not word.startswith("-"):
+            if closed:  # a second run of positionals
+                return None
+            run.append(word)
+            continue
+        option, equals, value = word.partition("=")
+        closed, keywords = bool(run), declared.get(option)
+        if keywords is None or option in given or equals and "action" in keywords:
+            return None
+        if "action" not in keywords and not equals:
+            value = next(pending, "-")
+        # argparse alone decides what "--opt -x" means, and drops the "--"
+        # of "--opt=--".
+        if value.startswith("-") and not equals or value == "--":
+            return None
+        given[option] = True if "action" in keywords else value
+    if "nargs" in declared[positionals[0]] and run:  # ``source`` takes the run
+        run = [run]
+    required = {
+        option for option, keywords in declared.items() if keywords.get("required")
+    }
+    if (len(run) != len(positionals) or not given.keys() >= required
+            or len(given.keys() & set(_MODES)) > 1):
+        return None
+    args = {option[2:]: keywords.get("default", False if "action" in keywords else None)
+            for option, keywords in declared.items() if option[0] == "-"}
+    for argument, value in [*zip(positionals, run), *given.items()]:
+        keywords = declared[argument]
+        try:
+            value = keywords["type"](value) if "type" in keywords else value
+        except ValueError:
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        args[argument.lstrip("-")] = value
+    return SimpleNamespace(**args)
+
+
+def build_parser():
+    """The CLI's parser, with the sub-parser of every command; the only
+    place that imports ``argparse``."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="sortnet",
         description="Generate, run, inspect, and verify comparator sorting networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, add_arguments, _) in COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=summary))
+    for name, (summary, arguments, _) in COMMANDS.items():
+        command, modes = sub.add_parser(name, help=summary), None
+        for argument, keywords in arguments:
+            if argument in _MODES:
+                modes = modes or command.add_mutually_exclusive_group()
+            (modes if argument in _MODES else command).add_argument(argument, **keywords)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        name = argv[0] if argv else None
-        if name in COMMANDS:
-            # The parser that ``build_parser`` adds for this command, alone.
-            parser = argparse.ArgumentParser(prog=f"sortnet {name}")
-            COMMANDS[name][1](parser)
-            args, leftover = parser.parse_known_args(argv[1:])
-        if name not in COMMANDS or leftover:
-            # Help, no arguments, an unknown command or arguments left
-            # over: the full parser prints argparse's help or error, which
-            # names every command.
+    name = argv[0] if argv else None
+    args = _read_call(name, argv[1:]) if name in COMMANDS else None
+    if args is None:
+        # Help, no arguments, an unknown command and any call that is not
+        # plain: argparse reads it, and its help and errors name every
+        # command.
+        try:
             args = build_parser().parse_args(argv)
-            name = args.command
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else int(exc.code)
+        except SystemExit as exc:
+            return 0 if exc.code in (0, None) else int(exc.code)
+        name = args.command
     try:
         return COMMANDS[name][2](args)
     except SortnetError as exc:

@@ -557,28 +557,217 @@ def count_parsers(monkeypatch):
     ],
 )
 def test_a_call_builds_only_its_commands_parser(monkeypatch, capsys, argv):
+    # A plain call is read without argparse: neither it nor a second call
+    # builds any parser.
     built = count_parsers(monkeypatch)
     assert main(argv) == 0
-    assert built == [f"sortnet {argv[0]}"]
-    # A second call builds its parser again: none is kept between calls.
     assert main(argv) == 0
-    assert built == [f"sortnet {argv[0]}"] * 2
+    assert built == []
     capsys.readouterr()
 
 
 def test_help_and_errors_build_every_commands_parser(monkeypatch, capsys):
     built = count_parsers(monkeypatch)
     every = ["sortnet"] + [f"sortnet {name}" for name in cli.COMMANDS]
-    for argv, code in ((["--help"], 0), ([], 2), (["frobnicate"], 2)):
+    for argv, code in (
+        (["--help"], 0),
+        ([], 2),
+        (["frobnicate"], 2),
+        # Not plain: the full parser alone reports the unknown option,
+        # naming every command.
+        (["stats", "bsort", "1", "--bogus"], 2),
+    ):
         built.clear()
         assert main(argv) == code
         assert built == every
-    built.clear()
-    # The command's own parse leaves an argument over; the full parser
-    # reports it, naming every command.
-    assert main(["stats", "bsort", "1", "--bogus"]) == 2
-    assert built == ["sortnet stats"] + every
     assert "{gen,verify,apply,stats}" in capsys.readouterr().err
+
+
+def test_a_plain_call_loads_no_argparse():
+    # A fresh interpreter, so no earlier import counts.
+    probe = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import sortnet.cli\n"
+        "code = sortnet.cli.main(['verify', 'bsort', '2'])\n"
+        "print(code, 'argparse' in sys.modules, 'gettext' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", probe, src],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert "result: sorting" in result.stdout
+    assert result.stdout.splitlines()[-1] == "0 False False"
+
+
+_SUBPARSERS = next(
+    action.choices
+    for action in cli.build_parser()._actions
+    if isinstance(action, argparse._SubParsersAction)
+)
+
+
+def test_the_declarations_read_as_the_parsers_actions():
+    # ``_read_call`` reads each argument's declaration by these rules: an
+    # option's dest is its name without dashes, a flag ("action") takes no
+    # value and defaults to False, only a positional with "nargs" takes
+    # more than one word, and ``_MODES`` are the only exclusive options.
+    for name, (_, arguments, _) in cli.COMMANDS.items():
+        declared = dict(arguments)
+        parser = _SUBPARSERS[name]
+        actions = [action for action in parser._actions if action.dest != "help"]
+        names = [(action.option_strings or [action.dest])[0] for action in actions]
+        assert names == list(declared)
+        for argument, action in zip(names, actions):
+            keywords = declared[argument]
+            flag = "action" in keywords
+            assert (
+                action.option_strings,
+                action.dest,
+                action.default,
+                action.type,
+                action.choices,
+                action.required,
+                action.nargs == 0,
+                action.nargs == "+",
+            ) == (
+                [argument] if argument.startswith("-") else [],
+                argument.lstrip("-"),
+                keywords.get("default", False if flag else None),
+                keywords.get("type"),
+                keywords.get("choices"),
+                keywords.get("required", not argument.startswith("-")),
+                flag,
+                "nargs" in keywords,
+            ), (name, argument)
+        groups = [
+            [option for action in group._group_actions for option in action.option_strings]
+            for group in parser._mutually_exclusive_groups
+        ]
+        assert groups == ([list(cli._MODES)] if cli._MODES[0] in declared else [])
+
+
+def _argparse_reads(argv):
+    """What the sub-parser of ``argv[0]`` reads from the rest of ``argv``."""
+    args, leftover = _SUBPARSERS[argv[0]].parse_known_args(argv[1:])
+    return vars(args), leftover
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "bsort", "3"],
+        ["gen", "--flip", "bfsort", "1_0", "--format=svg", "--out", "o.svg"],
+        ["gen", "knuth", "\u0663", "--out="],
+        ["gen", "batcher", " 2 ", "--format", "text"],
+        ["verify", "bsort", "2", "--exhaustive"],
+        ["verify", "--seed=-4", "--oracle", "5", "bsort", "2"],
+        ["verify", "net.snet", "--oracle=-1"],
+        ["verify", "a", "b", "c"],
+        ["apply", "bsort", "1", "--input=-5,3"],
+        ["apply", "--input", "2,1", "bsort", "1"],
+        ["stats", "bsort", "1"],
+        ["stats", ""],
+    ],
+)
+def test_plain_calls_are_read_as_argparse_reads_them(argv):
+    args = cli._read_call(argv[0], argv[1:])
+    assert args is not None
+    assert (vars(args), []) == _argparse_reads(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen"],
+        ["verify"],
+        ["gen", "bsort", "2", "-h"],
+        ["verify", "bsort", "2", "--help"],
+        ["verify", "bsort", "2", "--exh"],
+        ["verify", "--", "bsort", "2"],
+        ["gen", "bsort", "-1"],
+        ["verify", "bsort", "9", "--oracle", "-1"],
+        ["apply", "bsort", "1", "--input", "-5,3"],
+        ["verify", "bsort", "2", "--seed", "1", "--seed", "2"],
+        ["stats", "bsort", "1", "--bogus"],
+        ["gen", "bsort", 1],
+        ["gen", "bsort", "--flip", "1"],
+        ["verify", "bsort", "--seed", "1", "2"],
+        ["gen", "bfsort", "1", "--flip=1"],
+        ["gen", "bsort", "1", "--out=--"],
+        ["gen", "bsort", "1", "--out"],
+        ["apply", "bsort", "1"],
+        ["verify", "bsort", "2", "--exhaustive", "--oracle", "3"],
+        ["gen", "nope", "1"],
+        ["gen", "bsort", "x"],
+        ["gen", "bsort", "1", "--format", "png"],
+        ["gen", "bsort", "1", "2"],
+    ],
+)
+def test_other_calls_are_left_to_argparse(argv):
+    assert cli._read_call(argv[0], argv[1:]) is None
+
+
+# Words of argument lists: generator names and other positionals,
+# numbers that int() reads and files do not, a leading minus, every option
+# in full, abbreviated and in "=" form, and the words argparse reads
+# specially.
+_CALL_NUMBERS = ["3", "-1", "\u0663", "1_0", " 2 "]
+_CALL_POSITIONALS = [*cli.GENERATORS, *_CALL_NUMBERS[::2], "net.snet", "x", ""]
+_CALL_WORDS = [
+    *_CALL_POSITIONALS, *cli.COMMANDS, "-1", "-5,3", "2,1", "svg", "--", "-", "-h",
+    "--help", "--bogus", "--flip", "--fl", "--flip=1", "--out", "--ou", "--out=o.svg",
+    "--out=--", "--format", "--form", "--format=svg", "--exhaustive", "--exh",
+    "--exhaustive=", "--oracle", "--or", "--oracle=5", "--oracle=-1", "--seed",
+    "--se", "--seed=7", "--input", "--inp", "--input=2,1", "--input=-5,3",
+]
+# Each command's options with their values, as a plain call spells them
+# and, in the last entries, as argparse reads them differently.
+_CALL_OPTIONS = {
+    "gen": [
+        ["--flip"], ["--out", "o.svg"], ["--out="], ["--format", "svg"],
+        ["--format=text"], ["--flip="], ["--out=--"], ["--out", "-1"],
+    ],
+    "verify": [
+        ["--exhaustive"], ["--oracle", "5"], ["--oracle=-1"], ["--seed", "7"],
+        ["--seed=\u0663"], ["--exhaustive=1"], ["--oracle", "-1"], ["--seed", "--"],
+    ],
+    "apply": [["--input", "2,1"], ["--input=-5,3"], ["--input", "-5,3"], ["--input=--"]],
+    "stats": [],
+}
+
+
+def _joined(parts):
+    return [word for part in parts for word in part]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.sampled_from(list(cli.COMMANDS)), st.data())
+def test_the_reader_agrees_with_argparse(name, data):
+    word = st.sampled_from(_CALL_WORDS)
+    # Options and their values, two in three the command's own, around a
+    # run of positionals: the shape of most calls.
+    own = [st.sampled_from(_CALL_OPTIONS[name])] if _CALL_OPTIONS[name] else []
+    options = st.lists(st.one_of(*own * 2, st.lists(word, max_size=1)), max_size=3)
+    run = st.lists(st.sampled_from(_CALL_POSITIONALS), min_size=1, max_size=3)
+    if name == "gen":
+        algorithm_m = st.tuples(
+            st.sampled_from(list(cli.GENERATORS)), st.sampled_from(_CALL_NUMBERS)
+        )
+        run = st.one_of(run, algorithm_m.map(list))
+    words = data.draw(
+        st.one_of(
+            st.lists(word, max_size=6),
+            st.tuples(options.map(_joined), run, options.map(_joined)).map(_joined),
+        )
+    )
+    # Whatever the reader accepts, argparse reads alike, with nothing over.
+    args = cli._read_call(name, words)
+    if args is not None:
+        assert (vars(args), []) == _argparse_reads([name, *words])
 
 
 def test_build_parser_offers_every_command():
