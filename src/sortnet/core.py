@@ -15,8 +15,7 @@ and copying rebuild a record through its constructor and its check.
 
 from __future__ import annotations
 
-from itertools import compress
-from operator import attrgetter, gt, itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence, TypeVar
 
 from .errors import (
@@ -241,25 +240,26 @@ class Network(_Record):
     def apply(self, values: Sequence[V]) -> tuple[V, ...]:
         """Thread a tuple through every layer in order.
 
-        This is the one evaluator for ordered values: the network is
-        compiled into its list of comparators, which run on one working
-        list.  The low line receives the minimum, or the maximum under a
-        true flag: a pair swaps when ``a <= b`` and its flag have the same
-        truth, so a plain comparator leaves two equal values where they
-        are and a flipped one acts as the plain one followed by
-        exchanging its two lines.
+        This is the one evaluator for ordered values: each layer runs its
+        comparators, the lines ``i`` with ``link[i] > i``, in ascending
+        order on one working list.  The low line receives the minimum, or
+        the maximum under a true flag: a pair swaps when ``a <= b`` and
+        its flag have the same truth, so a plain comparator leaves two
+        equal values where they are and a flipped one acts as the plain
+        one followed by exchanging its two lines.
         """
         if len(values) != self.width:
             raise WidthMismatch(
                 f"tuple of length {len(values)} applied to width {self.width}"
             )
         out = list(values)
-        for link, flip, lows in _comparators(self):
-            for i in lows:
-                j = link[i]
-                a, b = out[i], out[j]
-                if (not a <= b) is (not flip[i]):
-                    out[i], out[j] = b, a
+        for layer in self.layers:
+            flip = layer.flip
+            for i, j in enumerate(layer.link):
+                if i < j:
+                    a, b = out[i], out[j]
+                    if (not a <= b) is (not flip[i]):
+                        out[i], out[j] = b, a
         return tuple(out)
 
     def __add__(self, other: "Network") -> "Network":
@@ -270,20 +270,3 @@ class Network(_Record):
                 f"cannot concatenate widths {self.width} and {other.width}"
             )
         return Network(self.width, self.layers + other.layers)
-
-
-def _comparators(network: Network) -> list[tuple[tuple, tuple, list]]:
-    """The comparators of ``network`` in evaluation order, for
-    :meth:`Network.apply` and the sampled oracle's packed runner: per
-    layer its ``link`` and ``flip`` maps and the low lines of its
-    comparators, the ``x`` with ``link[x] > x``, ascending.
-
-    Compiling costs one C-level pass over each layer's lines; the
-    comparators' high lines and flags are read from the maps as they run.
-    """
-    lines = line_numbers(network.width)
-    return [
-        (layer.link, layer.flip, list(compress(lines, map(gt, layer.link, lines))))
-        for layer in network.layers
-    ]
-

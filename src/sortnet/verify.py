@@ -71,8 +71,7 @@ Its fields, ``failing * width`` up to ``(failing + 1) * width`` of a
 fresh stream, are drawn again and run through ``Network.apply``, as the
 exhaustive check runs its counterexample, so counterexamples are
 independently reproducible; no batch's inputs are kept.  The stream is
-read one batch ahead of the run at most, and the network is compiled
-into its comparator list when the first batch runs.
+read one batch ahead of the run at most.
 
 Up to width ``MAX_PERMUTATION_WIDTH`` the check above runs first.  By
 the 0-1 principle at each threshold, a network that sorts every boolean
@@ -100,7 +99,7 @@ import sys
 from operator import lt
 from typing import Iterable, Iterator
 
-from .core import Network, _Record, _comparators
+from .core import Network, _Record
 from .errors import SortnetError, WidthTooLarge
 
 #: Exhaustive enumeration guard: 2**24 boolean inputs is the most this
@@ -402,21 +401,23 @@ def _random_fields(rng: random.Random) -> Iterator[bytes]:
                 yield low.to_bytes(9, "little")
 
 
-def _run_packed(comparators: list, lanes: list[int], count: int) -> int | None:
-    """Run compiled ``comparators`` in place on ``lanes`` holding ``count``
-    packed cases, and return the index of the first case left unsorted,
-    or None.  See the module docstring for the guard arithmetic."""
+def _run_packed(network: Network, lanes: list[int], count: int) -> int | None:
+    """Run ``network`` in place on ``lanes`` holding ``count`` packed
+    cases, layer by layer as :meth:`Network.apply` does, and return the
+    index of the first case left unsorted, or None.  See the module
+    docstring for the guard arithmetic."""
     guards = _repeat(1 << 64, _FIELD_BITS, count)
-    for link, flip, lows in comparators:
-        for i in lows:
-            j = link[i]
-            a, b = lanes[i], lanes[j]
-            ge = ((a | guards) - b) & guards
-            swap = (a ^ b) & (ge - (ge >> 64))
-            if flip[i]:
-                lanes[i], lanes[j] = b ^ swap, a ^ swap
-            else:
-                lanes[i], lanes[j] = a ^ swap, b ^ swap
+    for layer in network.layers:
+        flip = layer.flip
+        for i, j in enumerate(layer.link):
+            if i < j:
+                a, b = lanes[i], lanes[j]
+                ge = ((a | guards) - b) & guards
+                swap = (a ^ b) & (ge - (ge >> 64))
+                if flip[i]:
+                    lanes[i], lanes[j] = b ^ swap, a ^ swap
+                else:
+                    lanes[i], lanes[j] = a ^ swap, b ^ swap
     ascending = guards
     for a, b in zip(lanes, lanes[1:]):
         ascending &= (b | guards) - a
@@ -428,9 +429,8 @@ def _first_unsorted(network: Network, fields: Iterable[bytes]) -> int | None:
     """Index of the first case that ``network`` leaves unsorted, or None.
     ``fields`` runs case after case, one packed field per line.  The cases
     run ``_BATCH`` at a time: a batch's fields are read in turn into one
-    byte buffer per line, and the network is compiled when the first
-    batch runs.  Cases of width 0 have no fields, and sort."""
-    width, fields, comparators, checked = network.width, iter(fields), None, 0
+    byte buffer per line.  Cases of width 0 have no fields, and sort."""
+    width, fields, checked = network.width, iter(fields), 0
     while width:
         lanes = [bytearray() for _ in range(width)]
         batch = itertools.islice(fields, width * _BATCH)
@@ -439,12 +439,10 @@ def _first_unsorted(network: Network, fields: Iterable[bytes]) -> int | None:
         count = len(lanes[0]) * 8 // _FIELD_BITS
         if not count:
             return None
-        if comparators is None:
-            comparators = _comparators(network)
         # Each buffer gives way to its integer, so the batch is held once.
         for line, lane in enumerate(lanes):
             lanes[line] = int.from_bytes(lane, "little")
-        failing = _run_packed(comparators, lanes, count)
+        failing = _run_packed(network, lanes, count)
         if failing is not None:
             return checked + failing
         checked += count
@@ -464,10 +462,9 @@ def check_sorting_oracle(
     order.  Wider networks run ``trials`` seeded random signed 64-bit
     tuples alone, the values of ``random.Random(seed).randint(-2**63,
     2**63 - 1)`` in turn, drawn in bulk.  The tuples run packed, 64 to a
-    batch, one pass over the compiled network per batch, read from one
-    flat stream of packed fields, case after case, one field per line
-    (see the module docstring); the network is compiled only when a
-    batch runs.  A comparator only exchanges values, so an output that
+    batch, one pass over the network per batch, read from one flat
+    stream of packed fields, case after case, one field per line (see
+    the module docstring).  A comparator only exchanges values, so an output that
     does not decrease is a sorted permutation of its input.  The
     counterexample is the first tuple that fails: its fields are read
     again from a fresh stream and its output comes from

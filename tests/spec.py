@@ -8,7 +8,7 @@ predicates: sortedness, permutation, bitonicity, the even/odd slices and
 their false counts.  Here they state the same lemmas and serve as the
 test suite's oracle; the program itself never calls them.  The parser,
 evaluator and oracle are the plain loops the program's table-decoded
-parser and compiled evaluator must agree with.
+parser, evaluator and packed oracle must agree with.
 
 ``random_network`` draws from its ``rng`` in a fixed order (per layer:
 shuffle, pair count, then one flip draw per pair).  Seeded tests depend
