@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import os
+import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -26,7 +27,7 @@ from sortnet.combinators import cswap
 from sortnet.core import Connector, Network
 from sortnet.knuth import knuth_exchange
 from sortnet.verify import network_stats
-from spec import parse_text_spec
+from spec import parse_text_spec, random_network
 
 GENERATORS = {
     "bsort": bsort,
@@ -103,6 +104,11 @@ _PARSE_ROW = st.one_of(
         ),
         max_size=7,
     ).map(lambda parts: "".join(sep + token for sep, token in parts)),
+    # The layout render_text writes: canonical names, single spaces.
+    st.lists(
+        st.tuples(st.integers(0, 13), st.integers(0, 13), st.sampled_from(["", "!"])),
+        max_size=7,
+    ).map(lambda parts: "".join(f" {i}-{j}{mark}" for i, j, mark in parts)),
 )
 
 
@@ -127,12 +133,43 @@ def _parse_outcome(parse, text):
 @example(4, ["layer: 0-1-2 3-"])
 @example(4, ["layer: 1 2-3-0"])
 @example(4, ["layer: 3-1! 0-2", "layer: 0-\u00b2"])
+@example(4, ["layer: -1 2-3"])
+@example(4, ["layer: 0- 1"])
+@example(4, ["layer: 0-1 "])
+@example(4, ["layer:  0-1"])
+@example(4, ["layer: 0-!1"])
+@example(4, ["layer: 0-1!! 2-3"])
+@example(4, ["layer: 0-1! 2-3"])
+@example(4, ["layer: 0-1\t2-3"])
+@example(4, ["layer:"])
 def test_parse_text_matches_the_per_token_spec(width, rows):
     # Same network on acceptance; same message and line number on
     # rejection.  The last three examples have as many fields as a
     # well-formed record but a token with two dashes.
     text = "\n".join([f"snet 1 {width}", *rows]) + "\n"
     assert _parse_outcome(parse_text, text) == _parse_outcome(parse_text_spec, text)
+
+
+def test_parse_text_reads_rendered_records_without_the_token_reader(monkeypatch):
+    # Every record render_text writes with a comparator is decoded by
+    # its layout, never token by token through Connector.from_pairs.
+    rng = random.Random(2)
+    nets = [
+        build(m) for build in [*GENERATORS.values(), lambda m: bfsort(True, m)]
+        for m in range(7)
+    ]
+    nets += [
+        random_network(width, rng.randint(1, 6), rng)
+        for width in range(2, 40) for _ in range(4)
+    ]
+    nets = [net for net in nets if all(layer.pairs() for layer in net.layers)]
+    texts = list(map(render_text, nets))
+
+    def refuse(*args):
+        raise AssertionError("read token by token")
+
+    monkeypatch.setattr(Connector, "from_pairs", refuse)
+    assert list(map(parse_text, texts)) == nets
 
 
 _MALFORMED = {

@@ -21,6 +21,7 @@ from sortnet import verify
 from sortnet.batcher import batcher
 from sortnet.bitonic import bfsort, bsort
 from sortnet.cli import main, parse_text, render_svg, render_text
+from sortnet.core import Connector, Network
 from sortnet.knuth import knuth_exchange
 from sortnet.verify import check_sorting_exhaustive, check_sorting_oracle
 from spec import block_networks, drop_mutants, flip_mutants, random_network
@@ -410,3 +411,50 @@ def test_exhaustive_reports_are_pinned(monkeypatch, chunk_bits, widest, expected
         for net in exhaustive_corpus() if net.width <= widest
     ]
     assert report_digest(reports) == expected
+
+
+# sha256 of ``_first_failure`` on first_failure_corpus(), above the guard
+# that ``check_sorting_exhaustive`` puts at width 24.
+FIRST_FAILURE_DIGEST = (
+    "50e8a0b67f4f628196a8216afdfdbb954f5e108bb91b44df4d3f81d1b6f02244"
+)
+
+
+def suffix_flip_mutants(network, count=None, rng=None):
+    """The one-flip mutants of ``network`` whose flipped comparator lies in
+    a layer after the cut of ``verify._components``: every one, or ``count``
+    of them drawn by ``rng``, in layer order."""
+    width, layers = network.width, network.layers
+    cut, _ = verify._components(width, [layer.pairs() for layer in layers])
+    spots = [
+        (t, k) for t in range(cut, len(layers))
+        for k in range(len(layers[t].pairs()))
+    ]
+    if count is not None:
+        spots = sorted(rng.sample(spots, count))
+    for t, k in spots:
+        pairs = layers[t].pairs()
+        i, j, flipped = pairs[k]
+        pairs[k] = (i, j, not flipped)
+        changed = Connector.from_pairs(width, pairs)
+        yield Network(width, layers[:t] + (changed,) + layers[t + 1:])
+
+
+def first_failure_corpus():
+    """1488 networks of widths 32 to 256: the variants at m = 5..8, each
+    followed by its suffix flip mutants, all 1268 of them at m = 5 and 6
+    and 20 seeded ones per variant at m = 7 and 8."""
+    rng = random.Random(3)
+    for m in range(5, 9):
+        for build in GENERATORS.values():
+            net = build(m)
+            yield net
+            yield from suffix_flip_mutants(net, *(() if m < 7 else (20, rng)))
+
+
+def test_first_failures_above_the_guard_are_pinned():
+    digest = hashlib.sha256()
+    for net in first_failure_corpus():
+        layers = [layer.pairs() for layer in net.layers]
+        digest.update(repr(verify._first_failure(net.width, layers, {})).encode())
+    assert digest.hexdigest() == FIRST_FAILURE_DIGEST
