@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import sys
 from itertools import repeat
-from operator import contains
+from operator import itemgetter
 from types import SimpleNamespace
 
 from .batcher import batcher
@@ -60,6 +60,10 @@ GENERATORS = {
     "knuth": lambda m, flip: knuth_exchange(m),
     "batcher": lambda m, flip: batcher(m),
 }
+
+
+# Deletes the ASCII digits of a record, leaving its skeleton.
+_NO_DIGITS = str.maketrans("", "", "0123456789")
 
 
 class NetworkParseError(SortnetError):
@@ -143,37 +147,45 @@ def _parse_layer(
     raises :class:`NetworkParseError` naming the first fault.
 
     ``lines`` is ``line_numbers(width)`` and ``line_of`` maps ``str(i)`` to
-    ``i`` for each of them.  When every token is ``str(i)-str(j)`` or
-    ``str(i)-str(j)!`` over distinct lines, the names are decoded by the
-    table.  Any other record is read token by token, which builds the same
+    ``i`` for each of them.  A record in the layout :func:`render_text`
+    writes is read from its skeleton, what is left once its digits are
+    deleted: ``" -"`` per comparator, ``" -!"`` for a flipped one.  Its
+    names are then the fields between single spaces and dashes, decoded
+    by the table in one call, and must be ``2 * count`` distinct lines.
+    Any other record is read token by token, which builds the same
     connector from names with leading zeros (``00-1``).
     """
+    skeleton = body.translate(_NO_DIGITS)
+    count, flipped = skeleton.count(" "), "!" in skeleton
+    # The skeleton is " -" or " -!" per comparator, the record opens with
+    # its space, and no "!" precedes a high name.  An empty name, or one
+    # with a leading zero, is then missing from the table.
+    if (
+        count
+        and skeleton.replace("-!", "-") == " -" * count
+        and body[0] == " "
+        and not (flipped and "-!" in body)
+    ):
+        fields = body.replace("!", "").replace("-", " ").split(" ")
+        try:
+            names = itemgetter(*fields[1:])(line_of)
+        except KeyError:  # a leading zero, or no name
+            names = ()
+        if len(set(names)) == 2 * count:
+            link, flip = list(lines), [False] * len(lines)
+            for low, high in zip(names[0::2], names[1::2]):
+                link[low], link[high] = high, low
+            if flipped:  # else every flag stays False
+                flags = map("-!".__eq__, skeleton[1:].split(" "))
+                for low, high, marked in zip(names[0::2], names[1::2], flags):
+                    flip[low] = flip[high] = marked
+            return Connector(len(lines), link, flip)
     tokens = body.split()
     # A record without "!" flips nothing: skip the per-token pass.
     flags = (
         list(map(str.endswith, tokens, repeat("!"))) if "!" in body
         else [False] * len(tokens)
     )
-    fields = body.replace("-", " ").replace("!", "").split()
-    try:
-        names = list(map(line_of.__getitem__, fields))
-    except KeyError:  # a name the table lacks: decode none
-        names = []
-    # Exactly one dash in every token, with a name on each side of it, a
-    # "!" only as the last character of a token, and every name decoded to
-    # a line of its own.
-    if (
-        len(set(names)) == len(fields) == 2 * len(tokens) == 2 * body.count("-")
-        and body.count("!") == sum(flags)
-        and all(map(contains, tokens, repeat("-")))
-    ):
-        link, flip = list(lines), [False] * len(lines)
-        for low, high in zip(names[0::2], names[1::2]):
-            link[low], link[high] = high, low
-        if "!" in body:  # else every flag stays False
-            for low, high, flipped in zip(names[0::2], names[1::2], flags):
-                flip[low] = flip[high] = flipped
-        return Connector(len(lines), link, flip)
     pairs = []
     for token, flipped in zip(tokens, flags):
         token_body = token[:-1] if flipped else token

@@ -142,6 +142,7 @@ def _parse_outcome(parse, text):
 @example(4, ["layer: 0-1! 2-3"])
 @example(4, ["layer: 0-1\t2-3"])
 @example(4, ["layer:"])
+@example(4, ["layer:1 0-2"])
 def test_parse_text_matches_the_per_token_spec(width, rows):
     # Same network on acceptance; same message and line number on
     # rejection.  The last three examples have as many fields as a
