@@ -10,12 +10,14 @@ The header carries a format version and the line count; each ``layer:``
 record lists its comparator pairs ascending by lower line, ``!`` marking
 a flipped (max-up) comparator.  Unconnected lines are implicit, so the
 format cannot express a broken link map.  One function reads each
-record: it splits the record once and decodes its line names by one
-table lookup when every token is canonical, or else reads the same
-tokens one at a time.  That reading accepts line names with leading
-zeros (``00-1`` joins lines 0 and 1), and names the first fault of any
-other record with the offending line number.  Either way the connector
-is built through the ordinary, checking constructor.
+record.  A record in the layout ``render_text`` writes is recognised by
+its skeleton, the record with its digits deleted (``" -"`` per
+comparator, ``" -!"`` for a flipped one); its names are split out once
+and decoded by one table lookup.  Any other record is read one token at
+a time.  That reading accepts line names with leading zeros (``00-1``
+joins lines 0 and 1), and names the first fault of any other record
+with the offending line number.  Either way the connector is built
+through the ordinary, checking constructor.
 
 Commands: ``gen`` writes a generated network as text or SVG, ``verify``
 decides the sorting property (exit 0 sorting, 1 counterexample, 2 usage
@@ -158,8 +160,7 @@ def _parse_layer(
     skeleton = body.translate(_NO_DIGITS)
     count, flipped = skeleton.count(" "), "!" in skeleton
     # The skeleton is " -" or " -!" per comparator, the record opens with
-    # its space, and no "!" precedes a high name.  An empty name, or one
-    # with a leading zero, is then missing from the table.
+    # its space, and no "!" precedes a high name.
     if (
         count
         and skeleton.replace("-!", "-") == " -" * count
@@ -169,7 +170,7 @@ def _parse_layer(
         fields = body.replace("!", "").replace("-", " ").split(" ")
         try:
             names = itemgetter(*fields[1:])(line_of)
-        except KeyError:  # a leading zero, or no name
+        except KeyError:  # an empty name, a leading zero or a line out of range
             names = ()
         if len(set(names)) == 2 * count:
             link, flip = list(lines), [False] * len(lines)
