@@ -10,13 +10,14 @@ The header carries a format version and the line count; each ``layer:``
 record lists its comparator pairs ascending by lower line, ``!`` marking
 a flipped (max-up) comparator.  Unconnected lines are implicit, so the
 format cannot express a broken link map.  One function reads each
-record.  A record in the layout ``render_text`` writes is recognised by
-its skeleton, the record with its digits deleted (``" -"`` per
-comparator, ``" -!"`` for a flipped one); its names are split out once
-and decoded by one table lookup.  Any other record is read one token at
-a time.  That reading accepts line names with leading zeros (``00-1``
-joins lines 0 and 1), and names the first fault of any other record
-with the offending line number.  Either way the connector is built
+record.  A record is first read from its skeleton, the record with its
+digits deleted.  If that is ``" -"`` per comparator (``" -!"`` for a
+flipped one), the record opens with its space and every ``!`` ends a
+token, which is the layout ``render_text`` writes, its names are split
+out once and decoded by one table lookup.  Any other record is read one
+token at a time.  That reading accepts line names with leading zeros
+(``00-1`` joins lines 0 and 1), and names the first fault of any other
+record with the offending line number.  Either way the connector is built
 through the ordinary, checking constructor.
 
 Commands: ``gen`` writes a generated network as text or SVG, ``verify``
@@ -149,23 +150,25 @@ def _parse_layer(
     raises :class:`NetworkParseError` naming the first fault.
 
     ``lines`` is ``line_numbers(width)`` and ``line_of`` maps ``str(i)`` to
-    ``i`` for each of them.  A record in the layout :func:`render_text`
-    writes is read from its skeleton, what is left once its digits are
-    deleted: ``" -"`` per comparator, ``" -!"`` for a flipped one.  Its
-    names are then the fields between single spaces and dashes, decoded
-    by the table in one call, and must be ``2 * count`` distinct lines.
-    Any other record is read token by token, which builds the same
-    connector from names with leading zeros (``00-1``).
+    ``i`` for each of them.  A record is first read from its skeleton,
+    what is left once its digits are deleted.  If that is ``" -"`` per
+    comparator, or ``" -!"`` for a flipped one, the record opens with its
+    space and every ``!`` ends a token (the layout :func:`render_text`
+    writes), its names are the fields between single spaces and dashes,
+    decoded by the table in one call, and must be ``2 * count`` distinct
+    lines.  Any other record is read token by token, which builds the
+    same connector from names with leading zeros (``00-1``) and names the
+    first fault of the rest.
     """
     skeleton = body.translate(_NO_DIGITS)
     count, flipped = skeleton.count(" "), "!" in skeleton
     # The skeleton is " -" or " -!" per comparator, the record opens with
-    # its space, and no "!" precedes a high name.
+    # its space, and every "!" ends a token.
     if (
         count
         and skeleton.replace("-!", "-") == " -" * count
         and body[0] == " "
-        and not (flipped and "-!" in body)
+        and (not flipped or (body + " ").count("! ") == skeleton.count("!"))
     ):
         fields = body.replace("!", "").replace("-", " ").split(" ")
         try:

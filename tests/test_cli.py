@@ -104,11 +104,19 @@ _PARSE_ROW = st.one_of(
         ),
         max_size=7,
     ).map(lambda parts: "".join(sep + token for sep, token in parts)),
-    # The layout render_text writes: canonical names, single spaces.
+    # The layout render_text writes: canonical names, single spaces.  A
+    # "!" is cut in after the first digits of the high name: most often
+    # after all of them, sometimes inside a two-digit name.
     st.lists(
-        st.tuples(st.integers(0, 13), st.integers(0, 13), st.sampled_from(["", "!"])),
+        st.tuples(
+            st.integers(0, 13), st.integers(0, 13).map(str),
+            st.sampled_from([None, None, 2, 2, 1]),
+        ),
         max_size=7,
-    ).map(lambda parts: "".join(f" {i}-{j}{mark}" for i, j, mark in parts)),
+    ).map(lambda parts: "".join(
+        f" {i}-{j}" if cut is None else f" {i}-{j[:cut]}!{j[cut:]}"
+        for i, j, cut in parts
+    )),
 )
 
 
@@ -121,6 +129,8 @@ def _parse_outcome(parse, text):
 
 @settings(max_examples=400, deadline=None)
 @given(st.integers(0, 12), st.lists(_PARSE_ROW.map("layer:{}".format), max_size=4))
+@example(12, ["layer: 0-1!1"])
+@example(13, ["layer: 0-1!2"])
 @example(4, ["layer: -1 2-3"])
 @example(4, ["layer: 0- 1"])
 @example(4, ["layer: 0-1 "])
